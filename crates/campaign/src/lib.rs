@@ -27,16 +27,13 @@
 //!   deterministic, and the final report embeds the record lines sorted
 //!   by shard id. Any thread count, and any interrupt/resume split,
 //!   produces the identical report file.
-//! * **Crash-consistent manifests** — every record is framed with a
-//!   per-record checksum ([`manifest`]); a torn trailing frame (the
-//!   process was killed mid-write) is discarded on resume and its shard
-//!   re-runs, while a damaged *interior* frame is a typed
-//!   [`CampaignError::Corrupt`] naming the line — never a silent skip.
-//!   Resume rewrites the manifest and writes the report atomically
-//!   (temp file + rename + fsync barriers per [`FsyncPolicy`]), and all
-//!   filesystem traffic flows through a swappable [`Io`] backend so the
-//!   chaos tests can inject EINTR, short writes, ENOSPC, fsync failures
-//!   and kills at every write boundary.
+//! * **Crash-consistent manifests** — the [`manifest`] is a
+//!   [`redsim_util::framed`] log: a torn trailing frame's shard re-runs,
+//!   a damaged *interior* frame is a typed [`CampaignError::Corrupt`].
+//!   The report is written atomically (fsync barriers per
+//!   [`FsyncPolicy`]), and all filesystem traffic flows through a
+//!   swappable [`Io`] backend so the chaos tests can inject host faults
+//!   at every write boundary.
 //! * **Supervised shards** — each shard runs under the [`supervisor`]:
 //!   host wall-clock deadlines (distinct from the simulated-cycle
 //!   watchdog), deterministic retry with capped exponential backoff for
@@ -45,7 +42,6 @@
 
 use std::collections::BTreeMap;
 use std::hash::Hasher;
-use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,18 +51,19 @@ use redsim_bench::Harness;
 pub use redsim_bench::{Job, JobError, JobErrorKind, JobFailure};
 use redsim_core::{
     ExecMode, FaultConfig, FaultLifecycle, FlightRecorder, ForwardingPolicy, Histogram,
-    MachineConfig, SimStats, Simulator, SliceSource, WindowSample,
+    Instrumentation, MachineConfig, NullMetrics, SimStats, Simulator, SliceSource, WindowSample,
 };
 use redsim_isa::trace::DynInst;
+use redsim_util::framed::{self, Appender};
 use redsim_util::hash::FxHasher;
-use redsim_util::io::{atomic_write, write_all_retrying, FsyncPolicy, Io, IoFile, RealIo};
+use redsim_util::io::{atomic_write, FsyncPolicy, Io, RealIo};
 use redsim_util::Json;
 use redsim_workloads::Workload;
 
 pub mod manifest;
 pub mod supervisor;
 
-use manifest::{frame_record, header_line, parse_manifest};
+use manifest::{header_line, parse_manifest};
 use supervisor::execute_shard;
 pub use supervisor::{DeadlineMonitor, FlakePlan, RetryPolicy, ShardFailure};
 
@@ -664,63 +661,6 @@ fn failed_records(records: &BTreeMap<usize, String>) -> (Vec<JobError>, Vec<JobE
     (failed, quarantined)
 }
 
-/// The shared, error-latching manifest appender. One frame per record,
-/// written whole through [`write_all_retrying`] (EINTR and short
-/// writes are absorbed) and optionally fsynced per record. The *first*
-/// IO error latches: every later append refuses immediately, so at
-/// most the latching write can leave a torn frame — and it is the last
-/// line of the file, exactly the shape resume tolerates.
-struct ManifestSink {
-    state: Mutex<SinkState>,
-    sync_each: bool,
-}
-
-struct SinkState {
-    file: Box<dyn IoFile>,
-    error: Option<std::io::Error>,
-}
-
-impl ManifestSink {
-    fn open(io: &dyn Io, path: &Path, fsync: FsyncPolicy) -> std::io::Result<Self> {
-        Ok(ManifestSink {
-            state: Mutex::new(SinkState {
-                file: io.open_append(path)?,
-                error: None,
-            }),
-            sync_each: fsync.sync_records(),
-        })
-    }
-
-    /// Appends one framed record; `false` means the sink is dead (this
-    /// call or an earlier one hit an IO error) and the campaign should
-    /// wind down.
-    fn append(&self, payload: &str) -> bool {
-        let mut st = self.state.lock().expect("manifest sink lock");
-        if st.error.is_some() {
-            return false;
-        }
-        let framed = format!("{}\n", frame_record(payload));
-        let r = write_all_retrying(st.file.as_mut(), framed.as_bytes()).and_then(|()| {
-            if self.sync_each {
-                st.file.sync()
-            } else {
-                Ok(())
-            }
-        });
-        match r {
-            Ok(()) => true,
-            Err(e) => {
-                st.error = Some(e);
-                false
-            }
-        }
-    }
-
-    fn into_error(self) -> Option<std::io::Error> {
-        self.state.into_inner().expect("manifest sink lock").error
-    }
-}
-
 /// Runs (or resumes) a campaign.
 ///
 /// Completed shards checkpoint to `opts.progress_path` as they finish
@@ -753,34 +693,27 @@ pub fn run_campaign(
         io.create_dir_all(dir)?;
     }
 
-    let mut done: BTreeMap<usize, String> = BTreeMap::new();
-    if opts.resume {
-        match io.read_to_string(&opts.progress_path) {
-            Ok(text) => done = parse_manifest(&text, &header, shards.len())?,
-            Err(e) if e.kind() == ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+    let mut done = if opts.resume {
+        parse_manifest(
+            &framed::read(io, &opts.progress_path)?,
+            &header,
+            shards.len(),
+        )?
+    } else {
+        BTreeMap::new()
+    };
 
     // (Re)write the manifest cleanly — header plus every known-good
     // record, freshly framed — atomically (temp file + rename, fsync
     // per policy), so a torn tail from a previous kill never corrupts
     // the lines appended next.
-    {
-        let mut buf = String::with_capacity(256 + done.values().map(String::len).sum::<usize>());
-        buf.push_str(&header);
-        buf.push('\n');
-        for line in done.values() {
-            buf.push_str(&frame_record(line));
-            buf.push('\n');
-        }
-        atomic_write(
-            io,
-            &opts.progress_path,
-            buf.as_bytes(),
-            opts.fsync.sync_barriers(),
-        )?;
-    }
+    framed::compact(
+        io,
+        &opts.progress_path,
+        &header,
+        done.values(),
+        opts.fsync.sync_barriers(),
+    )?;
 
     let mut pending: Vec<Shard> = shards
         .iter()
@@ -808,7 +741,7 @@ pub fn run_campaign(
                     .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
             })
             .collect();
-        let sink = ManifestSink::open(io, &opts.progress_path, opts.fsync)?;
+        let sink = Appender::open(io, &opts.progress_path, opts.fsync.sync_records())?;
         let monitor = opts.host_deadline.map(|_| DeadlineMonitor::new());
         let abort = AtomicBool::new(false);
         let next = AtomicUsize::new(0);
@@ -859,7 +792,7 @@ pub fn run_campaign(
                             ),
                         },
                     };
-                    if !sink.append(&line) {
+                    if sink.append(&line).is_err() {
                         abort.store(true, Ordering::Relaxed);
                         break;
                     }
@@ -946,7 +879,14 @@ fn dump_hang_trace(
     let mut source = SliceSource::new(&trace);
     // The shard already ran to classification once; the replay exists
     // only for its event tail, so the stats result is discarded.
-    let _ = sim.run_source_traced(&mut source, &mut recorder);
+    let _ = sim.run_source_instrumented(
+        &mut source,
+        Instrumentation {
+            tracer: &mut recorder,
+            metrics: &mut NullMetrics,
+            profiler: None,
+        },
+    );
     std::fs::write(&path, format!("{}\n", recorder.to_chrome_json())).ok()?;
     Some(path)
 }

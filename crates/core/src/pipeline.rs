@@ -154,22 +154,6 @@ impl Simulator {
         Ok(self)
     }
 
-    /// Enables transient-fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration
-    /// ([`FaultConfig::validate`]) — use
-    /// [`Simulator::try_with_faults`] to get the typed error instead.
-    #[deprecated(note = "use `try_with_faults` and handle the error")]
-    #[must_use]
-    pub fn with_faults(self, faults: FaultConfig) -> Self {
-        match self.try_with_faults(faults) {
-            Ok(sim) => sim,
-            Err(e) => panic!("invalid fault configuration: {e}"),
-        }
-    }
-
     /// Sets a watchdog deadline in simulated cycles. A run that reaches
     /// the deadline stops cleanly instead of erroring: the stats carry
     /// [`SimStats::watchdog_fired`](crate::SimStats) and every
@@ -222,7 +206,8 @@ impl Simulator {
     /// Fails if functional execution faults (bad memory access, budget
     /// exhausted) or the timing model deadlocks.
     pub fn run_program(&self, program: &Program) -> Result<SimStats, SimError> {
-        self.run_program_traced(program, &mut NullTracer)
+        let mut source = EmulatorSource::new(program, self.budget);
+        self.run_source(&mut source)
     }
 
     /// Runs an arbitrary committed-path source to exhaustion.
@@ -231,43 +216,10 @@ impl Simulator {
     ///
     /// Same conditions as [`Simulator::run_program`].
     pub fn run_source(&self, source: &mut dyn InstructionSource) -> Result<SimStats, SimError> {
-        self.run_source_traced(source, &mut NullTracer)
-    }
-
-    /// Like [`Simulator::run_program`], recording structured pipeline
-    /// events into `tracer` as the run progresses.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_program`].
-    pub fn run_program_traced(
-        &self,
-        program: &Program,
-        tracer: &mut dyn Tracer,
-    ) -> Result<SimStats, SimError> {
-        let mut source = EmulatorSource::new(program, self.budget);
-        self.run_source_traced(&mut source, tracer)
-    }
-
-    /// Like [`Simulator::run_source`], recording structured pipeline
-    /// events into `tracer`. With a sink whose
-    /// [`Tracer::enabled`](crate::Tracer::enabled) answers `false`
-    /// (the default [`NullTracer`](crate::NullTracer)), emission is
-    /// skipped behind one cached branch per site — timing and stats are
-    /// identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulator::run_program`].
-    pub fn run_source_traced(
-        &self,
-        source: &mut dyn InstructionSource,
-        tracer: &mut dyn Tracer,
-    ) -> Result<SimStats, SimError> {
         self.run_source_instrumented(
             source,
             Instrumentation {
-                tracer,
+                tracer: &mut NullTracer,
                 metrics: &mut NullMetrics,
                 profiler: None,
             },

@@ -12,7 +12,7 @@
 //! any kill/restart schedule.
 //!
 //! The first journal-append failure latches the engine into an
-//! aborted state (mirroring the campaign manifest sink): no further
+//! aborted state (the [`Appender`] discipline): no further
 //! submissions are acknowledged and workers stop, so only the
 //! journal's final line can ever be torn.
 
@@ -25,10 +25,11 @@ use std::time::{Duration, Instant};
 
 use redsim_campaign::supervisor::{execute_shard, DeadlineMonitor, RetryPolicy};
 use redsim_core::{attribution_to_json, Histogram, MetricsRegistry, SimStats};
-use redsim_util::io::{atomic_write, FsyncPolicy, Io};
+use redsim_util::framed::Appender;
+use redsim_util::io::{FsyncPolicy, Io};
 use redsim_util::Json;
 
-use crate::journal::{self, JournalSink, JournalState};
+use crate::journal::{self, JournalState};
 use crate::spec::{JobSpec, DEFAULT_TRACE_BUDGET};
 use crate::store::TraceStore;
 use crate::ServeError;
@@ -161,7 +162,7 @@ struct Shared {
     journal_path: PathBuf,
     opts: EngineOptions,
     store: TraceStore,
-    sink: JournalSink,
+    sink: Appender,
     monitor: Option<DeadlineMonitor>,
     q: Mutex<QState>,
     work_cv: Condvar,
@@ -207,10 +208,11 @@ impl Engine {
         let state = journal::load(io.as_ref(), &journal_path)?;
         // Compact on open: the on-disk journal starts every run clean
         // (no torn tail, records in id order).
-        atomic_write(
+        journal::compact(
             io.as_ref(),
             &journal_path,
-            journal::render(&state).as_bytes(),
+            &state.specs,
+            &state.results,
             opts.fsync.sync_barriers(),
         )?;
         let store = TraceStore::open(
@@ -218,7 +220,7 @@ impl Engine {
             state_dir.join("traces"),
             opts.fsync.sync_barriers(),
         )?;
-        let sink = JournalSink::open(io.as_ref(), &journal_path, opts.fsync.sync_records())?;
+        let sink = Appender::open(io.as_ref(), &journal_path, opts.fsync.sync_records())?;
 
         let JournalState {
             specs,
@@ -305,16 +307,11 @@ impl Engine {
             return Ok((id, true));
         }
         let id = q.next_id;
-        if !self.shared.sink.append(&journal::job_record(id, spec)) {
-            let e = self
-                .shared
-                .sink
-                .error()
-                .unwrap_or_else(|| "journal append failed".to_owned());
-            q.io_error = Some(e.clone());
+        if let Err(e) = self.shared.sink.append(&journal::job_record(id, spec)) {
+            q.io_error = Some(e.to_string());
             self.shared.work_cv.notify_all();
             self.shared.done_cv.notify_all();
-            return Err(ServeError::Io(std::io::Error::other(e)));
+            return Err(ServeError::Io(e));
         }
         q.next_id = id + 1;
         q.specs.insert(id, spec.clone());
@@ -460,16 +457,11 @@ impl Engine {
         self.stop();
         self.join_workers();
         let q = self.shared.q.lock().expect("engine queue lock");
-        let state = JournalState {
-            specs: q.specs.clone(),
-            results: q.results.clone(),
-            next_id: q.next_id,
-        };
-        drop(q);
-        atomic_write(
+        journal::compact(
             self.shared.io.as_ref(),
             &self.shared.journal_path,
-            journal::render(&state).as_bytes(),
+            &q.specs,
+            &q.results,
             self.shared.opts.fsync.sync_barriers(),
         )?;
         Ok(())
@@ -677,24 +669,19 @@ fn worker_loop(shared: &Shared) {
 
         let mut q = shared.q.lock().expect("engine queue lock");
         q.running.remove(&id);
-        if shared.sink.append(&journal::done_record(id, &res)) {
+        if let Err(e) = shared.sink.append(&journal::done_record(id, &res)) {
+            // Latch: the result is lost from this process, the job
+            // stays journaled without a result and re-runs on the
+            // next open — identical bytes, nothing diverges.
+            q.io_error = Some(e.to_string());
+            shared.work_cv.notify_all();
+        } else {
             q.results.insert(id, res);
             let mut m = shared.metrics.lock().expect("metrics lock");
             m.latency_ms.record(latency_ms);
             if !ok {
                 m.failed += 1;
             }
-        } else {
-            // Latch: the result is lost from this process, the job
-            // stays journaled without a result and re-runs on the
-            // next open — identical bytes, nothing diverges.
-            q.io_error = Some(
-                shared
-                    .sink
-                    .error()
-                    .unwrap_or_else(|| "journal append failed".to_owned()),
-            );
-            shared.work_cv.notify_all();
         }
         drop(q);
         shared.done_cv.notify_all();

@@ -1,8 +1,8 @@
 //! The durable job journal.
 //!
-//! One append-only JSONL file per state directory, reusing the
-//! campaign manifest's CRC framing ([`frame_record`] /
-//! [`unframe_record`]) so every record carries its own checksum:
+//! One append-only [`redsim_util::framed`] log per state directory —
+//! the campaign manifest's format, so every record carries its own
+//! checksum:
 //!
 //! ```text
 //! {"kind":"serve-journal","version":1}
@@ -11,25 +11,21 @@
 //! ```
 //!
 //! A `job` record is an *acknowledged* submission; a `done` record is
-//! its result. The append discipline latches on the first write error
-//! (see [`JournalSink`]), so — exactly as in the campaign manifest —
-//! only the final line can ever be torn. [`load`] therefore tolerates
-//! a defective *last* line (the job or result it carried simply was
-//! never acknowledged / re-runs) but refuses interior damage with a
-//! typed [`ServeError::Corrupt`].
+//! its result. Framing, the torn-tail rule, appending and compaction
+//! live in [`redsim_util::framed`]; this module owns the header and
+//! what the two record kinds mean.
 //!
 //! Every result payload is built from integers, bools and strings
 //! only — no floats, no wall-clock — so `parse → to_string` is
-//! byte-exact and a compacted journal ([`render`]) is a deterministic
+//! byte-exact and a compacted journal ([`compact`]) is a deterministic
 //! function of the state it encodes.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::Mutex;
 
-use redsim_campaign::manifest::{frame_record, unframe_record};
-use redsim_util::io::{write_all_retrying, Io, IoFile};
+use redsim_util::framed::{self, ReplayError};
+use redsim_util::io::Io;
 use redsim_util::Json;
 
 use crate::spec::JobSpec;
@@ -76,24 +72,25 @@ pub struct JournalState {
     pub next_id: u64,
 }
 
-/// The compacted rendering of a state: header, job records in id
-/// order, done records in id order — a pure function of the state, so
-/// two drained servers with the same history compact to identical
-/// bytes regardless of worker count or append interleaving.
-#[must_use]
-pub fn render(state: &JournalState) -> String {
-    let mut out = String::new();
-    out.push_str(&header_line());
-    out.push('\n');
-    for (&id, spec) in &state.specs {
-        out.push_str(&frame_record(&job_record(id, spec)));
-        out.push('\n');
-    }
-    for (&id, res) in &state.results {
-        out.push_str(&frame_record(&done_record(id, res)));
-        out.push('\n');
-    }
-    out
+/// Rewrites the journal atomically in its compacted form: header, job
+/// records in id order, done records in id order — a pure function of
+/// the state, so two drained servers with the same history compact to
+/// identical bytes regardless of worker count or append interleaving.
+///
+/// # Errors
+///
+/// Any `io::Error` of [`framed::compact`]; the old journal is then
+/// untouched.
+pub fn compact(
+    io: &dyn Io,
+    path: &Path,
+    specs: &BTreeMap<u64, JobSpec>,
+    results: &BTreeMap<u64, String>,
+    sync: bool,
+) -> io::Result<()> {
+    let jobs = specs.iter().map(|(&id, spec)| job_record(id, spec));
+    let dones = results.iter().map(|(&id, res)| done_record(id, res));
+    framed::compact(io, path, &header_line(), jobs.chain(dones), sync)
 }
 
 /// Loads a journal, tolerating a torn tail and refusing interior
@@ -107,46 +104,24 @@ pub fn render(state: &JournalState) -> String {
 /// [`ServeError::Corrupt`] on interior damage, [`ServeError::Io`] when
 /// the file exists but cannot be read.
 pub fn load(io: &dyn Io, path: &Path) -> Result<JournalState, ServeError> {
-    if !io.exists(path) {
-        return Ok(JournalState::default());
-    }
-    let text = io.read_to_string(path)?;
-    let mut lines = text.lines().enumerate().peekable();
-    match lines.next() {
-        None => return Ok(JournalState::default()),
-        Some((_, h)) if h == header_line() => {}
-        Some((_, h)) => {
-            return Err(ServeError::Mismatch(format!(
-                "header {h:?} is not a v{JOURNAL_VERSION} serve journal"
-            )));
-        }
-    }
     let mut state = JournalState::default();
-    while let Some((idx, line)) = lines.next() {
-        let last = lines.peek().is_none();
-        match parse_record(line, &mut state) {
-            Ok(()) => {}
-            Err(detail) if last => {
-                // Torn tail: the record was never acknowledged.
-                let _ = detail;
-            }
-            Err(detail) => {
-                return Err(ServeError::Corrupt {
-                    line: idx + 1,
-                    detail,
-                });
-            }
-        }
-    }
+    framed::replay(&framed::read(io, path)?, &header_line(), |payload| {
+        parse_record(payload, &mut state)
+    })
+    .map_err(|e| match e {
+        ReplayError::Header(h) => ServeError::Mismatch(format!(
+            "header {h:?} is not a v{JOURNAL_VERSION} serve journal"
+        )),
+        ReplayError::Corrupt { line, detail } => ServeError::Corrupt { line, detail },
+    })?;
     state.next_id = state.specs.keys().next_back().map_or(0, |&id| id + 1);
     Ok(state)
 }
 
-/// Validates one framed line and folds it into the state. Returns the
-/// defect description on failure (the caller decides torn-tail vs
+/// Folds one record payload into the state. Returns the defect
+/// description on failure ([`framed::replay`] decides torn-tail vs
 /// interior).
-fn parse_record(line: &str, state: &mut JournalState) -> Result<(), String> {
-    let payload = unframe_record(line)?;
+fn parse_record(payload: &str, state: &mut JournalState) -> Result<(), String> {
     let j = Json::parse(payload).map_err(|e| format!("payload is not valid JSON: {e}"))?;
     let id = |j: &Json| -> Result<u64, String> {
         j.get("id")
@@ -179,95 +154,14 @@ fn parse_record(line: &str, state: &mut JournalState) -> Result<(), String> {
     }
 }
 
-struct SinkInner {
-    file: Option<Box<dyn IoFile>>,
-    error: Option<String>,
-}
-
-/// An error-latching journal appender: the first failed append (or
-/// sync) poisons the sink, every later append fails fast, and the
-/// engine stops accepting work — which is what guarantees only the
-/// journal's final line can ever be torn.
-pub struct JournalSink {
-    sync: bool,
-    inner: Mutex<SinkInner>,
-}
-
-impl std::fmt::Debug for JournalSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JournalSink").finish_non_exhaustive()
-    }
-}
-
-impl JournalSink {
-    /// Opens the journal for appending. `sync` adds a durability
-    /// barrier after every record.
-    ///
-    /// # Errors
-    ///
-    /// Any `io::Error` from opening the file.
-    pub fn open(io: &dyn Io, path: &Path, sync: bool) -> io::Result<Self> {
-        let file = io.open_append(path)?;
-        Ok(JournalSink {
-            sync,
-            inner: Mutex::new(SinkInner {
-                file: Some(file),
-                error: None,
-            }),
-        })
-    }
-
-    /// Appends one unframed record payload (framing and the newline
-    /// are added here). Returns `false` once the sink has latched an
-    /// error; [`JournalSink::error`] reports it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sink mutex was poisoned by a panicking thread.
-    pub fn append(&self, payload: &str) -> bool {
-        let mut inner = self.inner.lock().expect("journal sink lock");
-        if inner.error.is_some() {
-            return false;
-        }
-        let Some(file) = inner.file.as_mut() else {
-            return false;
-        };
-        let line = format!("{}\n", frame_record(payload));
-        let outcome = write_all_retrying(file.as_mut(), line.as_bytes()).and_then(|()| {
-            if self.sync {
-                file.sync()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = outcome {
-            inner.error = Some(e.to_string());
-            inner.file = None;
-            return false;
-        }
-        true
-    }
-
-    /// The latched error, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sink mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn error(&self) -> Option<String> {
-        self.inner.lock().expect("journal sink lock").error.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use redsim_core::ExecMode;
     use redsim_util::io::RealIo;
     use redsim_workloads::Workload;
-    use std::path::PathBuf;
 
-    fn tmp(tag: &str) -> PathBuf {
+    fn tmp(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("redsim-journal-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).expect("test dir");
@@ -290,20 +184,25 @@ mod tests {
         state
     }
 
+    /// The compacted bytes of a state.
+    fn compacted(path: &Path, state: &JournalState) -> String {
+        compact(&RealIo, path, &state.specs, &state.results, false).expect("compact");
+        std::fs::read_to_string(path).expect("read")
+    }
+
     #[test]
-    fn render_load_round_trip_is_byte_exact() {
+    fn compact_load_round_trip_is_byte_exact() {
         let path = tmp("roundtrip");
-        let text = render(&sample_state());
-        std::fs::write(&path, &text).expect("write");
+        let text = compacted(&path, &sample_state());
         let loaded = load(&RealIo, &path).expect("load");
         assert_eq!(loaded.next_id, 2);
-        assert_eq!(render(&loaded), text);
+        assert_eq!(compacted(&path, &loaded), text);
     }
 
     #[test]
     fn torn_tail_is_tolerated_interior_damage_is_typed() {
         let path = tmp("torn");
-        let text = render(&sample_state());
+        let text = compacted(&path, &sample_state());
         // Tear the final line mid-frame.
         std::fs::write(&path, &text[..text.len() - 10]).expect("write");
         let loaded = load(&RealIo, &path).expect("torn tail tolerated");
@@ -313,10 +212,8 @@ mod tests {
         // The same damage on an interior line refuses with the line.
         let lines: Vec<&str> = text.lines().collect();
         let damaged = format!("{}\n{}\n{}\n", lines[0], &lines[1][..20], lines[2]);
-        match load(&RealIo, &{
-            std::fs::write(&path, damaged).expect("write");
-            path.clone()
-        }) {
+        std::fs::write(&path, damaged).expect("write");
+        match load(&RealIo, &path) {
             Err(ServeError::Corrupt { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -328,34 +225,5 @@ mod tests {
         assert!(load(&RealIo, &path).expect("missing file").specs.is_empty());
         std::fs::write(&path, "{\"kind\":\"header\",\"version\":2}\n").expect("write");
         assert!(matches!(load(&RealIo, &path), Err(ServeError::Mismatch(_))));
-    }
-
-    #[test]
-    fn sink_latches_its_first_error() {
-        use redsim_util::io::{ChaosConfig, ChaosIo};
-        use std::sync::Arc;
-        let path = tmp("latch");
-        std::fs::write(&path, format!("{}\n", header_line())).expect("seed");
-        let io = ChaosIo::new(
-            Arc::new(RealIo),
-            ChaosConfig {
-                kill_after_ops: Some(2), // open + first write survive
-                ..ChaosConfig::quiet(0)
-            },
-        );
-        let sink = JournalSink::open(&io, &path, false).expect("open");
-        assert!(
-            sink.append(r#"{"kind":"job","id":0}"#),
-            "first append lands"
-        );
-        assert!(
-            !sink.append(r#"{"kind":"job","id":1}"#),
-            "killed append fails"
-        );
-        assert!(sink.error().is_some());
-        assert!(
-            !sink.append(r#"{"kind":"job","id":2}"#),
-            "the sink stays latched"
-        );
     }
 }

@@ -40,6 +40,9 @@ use crate::ServeError;
 /// How often the accept loop polls the engine's stop flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
+/// How often an idle connection re-checks the engine's stop flag.
+const CONN_READ_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Hard cap on one request line (native op or HTTP request/header
 /// line). Longer lines are rejected and the connection closed before
 /// the buffer can grow past this.
@@ -58,37 +61,16 @@ const MAX_HTTP_HEADERS: usize = 64;
 /// only close that connection.
 pub fn serve_tcp(engine: &Arc<Engine>, listener: &TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-                let engine = Arc::clone(engine);
-                conns.push(std::thread::spawn(move || {
-                    let mut stream = stream;
-                    let reader = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    handle_conn(&engine, BufReader::new(reader), &mut stream);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if engine.stopped() {
-                    break;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-    Ok(())
+    accept_loop(
+        engine,
+        || {
+            let (stream, _peer) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(Some(CONN_READ_TIMEOUT))?;
+            Ok(stream)
+        },
+        TcpStream::try_clone,
+    )
 }
 
 /// Unix-socket twin of [`serve_tcp`].
@@ -99,20 +81,36 @@ pub fn serve_tcp(engine: &Arc<Engine>, listener: &TcpListener) -> io::Result<()>
 #[cfg(unix)]
 pub fn serve_unix(engine: &Arc<Engine>, listener: &UnixListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
+    accept_loop(
+        engine,
+        || {
+            let (stream, _peer) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(Some(CONN_READ_TIMEOUT))?;
+            Ok(stream)
+        },
+        UnixStream::try_clone,
+    )
+}
+
+/// The accept loop both listeners share. `accept` polls the
+/// non-blocking listener for one connection, returned ready for
+/// blocking reads; each connection gets a thread reading from a
+/// `try_clone` of its stream and writing to the original.
+fn accept_loop<S: Read + Write + Send + 'static>(
+    engine: &Arc<Engine>,
+    mut accept: impl FnMut() -> io::Result<S>,
+    try_clone: fn(&S) -> io::Result<S>,
+) -> io::Result<()> {
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+        match accept() {
+            Ok(mut stream) => {
                 let engine = Arc::clone(engine);
                 conns.push(std::thread::spawn(move || {
-                    let mut stream = stream;
-                    let reader = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    handle_conn(&engine, BufReader::new(reader), &mut stream);
+                    if let Ok(reader) = try_clone(&stream) {
+                        handle_conn(&engine, BufReader::new(reader), &mut stream);
+                    }
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

@@ -88,7 +88,7 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Hashes a byte string to a deterministic 64-bit checksum.
 ///
-/// This is the record checksum used by the campaign manifest framing:
+/// This is the record checksum of the [`framed`](crate::framed) log:
 /// stable across processes and platforms (no per-process key), cheap
 /// enough to run on every appended record, and strong enough to catch
 /// torn or bit-flipped JSONL lines. Not cryptographic.

@@ -22,17 +22,22 @@
 //!   campaign state flows through, with a deterministic fault-injecting
 //!   [`ChaosIo`] (EINTR, short/torn writes, ENOSPC, fsync failure,
 //!   kill-after-N-ops) for chaos testing the recovery paths.
+//! * [`framed`] — the CRC-framed append-only log the campaign manifest
+//!   and the serve journal share: frame format, torn-tail-tolerant
+//!   replay, the error-latching [`Appender`] and atomic compaction.
 //!
 //! Everything in this crate is deterministic given its inputs; nothing
 //! except the explicit [`io`] backends touches the filesystem or the
 //! environment.
 
+pub mod framed;
 pub mod hash;
 pub mod io;
 pub mod json;
 pub mod rng;
 pub mod timer;
 
+pub use framed::Appender;
 pub use hash::FxHashMap;
 pub use io::{ChaosConfig, ChaosIo, FsyncPolicy, Io, IoFile, RealIo};
 pub use json::{Json, JsonParseError, JsonTypeError};

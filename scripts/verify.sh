@@ -7,6 +7,8 @@
 #   scripts/verify.sh               # everything
 #   scripts/verify.sh bench-smoke   # only the bench + determinism smoke
 #                                   # (assumes a release build exists)
+#   scripts/verify.sh perfbench     # only the benchmark package build +
+#                                   # unit tests
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,6 +88,15 @@ bench_smoke() {
         echo "FAIL: a +10% perturbation must exit 1, got $rc" >&2
         exit 1
     fi
+}
+
+perfbench_check() {
+    # The benchmark package (perfbench/, its own workspace and lock file)
+    # builds against the workspace crates. --locked makes a change to a
+    # crate API it uses, or to the crate graph, fail here instead of
+    # silently rewriting perfbench/Cargo.lock.
+    run cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+    run cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 }
 
 metrics_smoke() {
@@ -500,6 +511,12 @@ if [ "${1:-}" = "trace-smoke" ]; then
     exit 0
 fi
 
+if [ "${1:-}" = "perfbench" ]; then
+    perfbench_check
+    echo "OK: benchmark package build and tests passed"
+    exit 0
+fi
+
 if [ "${1:-}" = "metrics-smoke" ]; then
     metrics_smoke
     echo "OK: metrics smoke passed"
@@ -511,6 +528,7 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 run cargo build --offline --release --workspace
 run cargo test --offline --workspace -q
+perfbench_check
 figure_smoke
 trace_smoke
 metrics_smoke
