@@ -19,9 +19,18 @@
 //! with the Prometheus text exposition, `GET /jobs`,
 //! `GET /jobs/<id>` and `GET /jobs/<id>/attribution` serve the stored
 //! deterministic JSON results, non-GET methods get 405 and unknown
-//! paths 404. Request lines are capped at [`MAX_REQUEST_LINE`] bytes,
-//! so an oversized request cannot make the server buffer unbounded
-//! input.
+//! paths 404. Request lines are capped at [`MAX_REQUEST_LINE`] bytes
+//! and response lines at [`MAX_RESPONSE_LINE`], so an oversized line
+//! cannot make either end buffer unbounded input.
+//!
+//! Framing rule: one message, one write. Every native message (JSON
+//! plus its `'\n'`) and every HTTP response is rendered into one buffer
+//! and handed to the stream in a single `write_all`, and both TCP ends
+//! set `TCP_NODELAY`. A message split over two writes leaves its tail
+//! as a second small segment that Nagle holds until the first is
+//! ACKed, while the peer delays that ACK (≥ 40 ms on Linux) because it
+//! has not yet seen a full line; paid once in each direction, that
+//! stall was the 88 ms floor under every round trip.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,6 +57,14 @@ const CONN_READ_TIMEOUT: Duration = Duration::from_millis(500);
 /// the buffer can grow past this.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
+/// Hard cap on one response line read by [`Client::request`]. The
+/// largest real response is a `wait` on an `--attribution` job, whose
+/// breakdown is folded to a fixed top-K: measured over the twelve
+/// workloads in every mode, quick and full sizing, the longest line is
+/// 1,911 bytes (gcc, die-irb, full) and a `metrics` response ~4.4 KB.
+/// The cap leaves two orders of magnitude of headroom over both.
+pub const MAX_RESPONSE_LINE: usize = 256 * 1024;
+
 /// How many HTTP header lines are drained before responding; anything
 /// beyond is ignored (the connection closes after the response).
 const MAX_HTTP_HEADERS: usize = 64;
@@ -66,6 +83,7 @@ pub fn serve_tcp(engine: &Arc<Engine>, listener: &TcpListener) -> io::Result<()>
         || {
             let (stream, _peer) = listener.accept()?;
             stream.set_nonblocking(false)?;
+            stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(CONN_READ_TIMEOUT))?;
             Ok(stream)
         },
@@ -130,21 +148,23 @@ fn accept_loop<S: Read + Write + Send + 'static>(
     Ok(())
 }
 
-/// Reads a line of at most [`MAX_REQUEST_LINE`] bytes, treating a
-/// read timeout as "check the stop flag and keep waiting" so idle
-/// keep-alive connections don't pin the server. A timeout mid-line
-/// keeps the partial bytes and resumes.
+/// The one bounded line reader, for both ends: reads a line of at most
+/// `cap` bytes into `line`, reusing its allocation. A read timeout
+/// means "ask `stopped` and keep waiting unless it says stop" (then
+/// `Ok(0)`), so idle keep-alive connections don't pin the server; a
+/// timeout mid-line keeps the partial bytes and resumes.
 ///
 /// An overlong line fails with `InvalidData` *before* buffering past
-/// the cap — a client streaming an unterminated line can never make
-/// the server allocate unbounded memory.
-fn read_line_polling<R: BufRead>(
-    engine: &Engine,
+/// the cap — a peer streaming an unterminated line can never make
+/// this end allocate unbounded memory.
+fn read_line_capped<R: BufRead>(
     reader: &mut R,
     line: &mut String,
+    cap: usize,
+    stopped: &dyn Fn() -> bool,
 ) -> io::Result<usize> {
-    line.clear();
-    let mut bytes = Vec::new();
+    let mut bytes = std::mem::take(line).into_bytes();
+    bytes.clear();
     loop {
         let (used, done) = match reader.fill_buf() {
             Ok([]) => break, // EOF: hand back any partial line, like read_line.
@@ -158,7 +178,7 @@ fn read_line_polling<R: BufRead>(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if engine.stopped() {
+                if stopped() {
                     return Ok(0);
                 }
                 continue;
@@ -166,10 +186,10 @@ fn read_line_polling<R: BufRead>(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        if bytes.len() + used > MAX_REQUEST_LINE {
+        if bytes.len() + used > cap {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "request line exceeds the 64 KiB cap",
+                format!("line exceeds the {cap}-byte cap"),
             ));
         }
         bytes.extend_from_slice(&reader.fill_buf()?[..used]);
@@ -178,16 +198,9 @@ fn read_line_polling<R: BufRead>(
             break;
         }
     }
-    match String::from_utf8(bytes) {
-        Ok(s) => {
-            line.push_str(&s);
-            Ok(line.len())
-        }
-        Err(_) => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request line is not UTF-8",
-        )),
-    }
+    *line = String::from_utf8(bytes)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "line is not UTF-8"))?;
+    Ok(line.len())
 }
 
 /// Whether a first line spells an HTTP request line (any method);
@@ -200,8 +213,9 @@ fn looks_like_http(line: &str) -> bool {
 /// Drives one connection: HTTP if it opens with a request line,
 /// otherwise the line protocol until EOF, error, or a `shutdown` op.
 fn handle_conn<R: BufRead>(engine: &Engine, mut reader: R, writer: &mut dyn Write) {
+    let stopped = || engine.stopped();
     let mut line = String::new();
-    if read_line_polling(engine, &mut reader, &mut line).unwrap_or(0) == 0 {
+    if read_line_capped(&mut reader, &mut line, MAX_REQUEST_LINE, &stopped).unwrap_or(0) == 0 {
         return;
     }
     if looks_like_http(&line) {
@@ -210,23 +224,28 @@ fn handle_conn<R: BufRead>(engine: &Engine, mut reader: R, writer: &mut dyn Writ
     }
     loop {
         let (response, shutdown) = dispatch(engine, line.trim_end());
-        if writeln!(writer, "{response}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if send_line(writer, &response).is_err() || shutdown {
             return;
         }
-        if shutdown {
-            return;
-        }
-        match read_line_polling(engine, &mut reader, &mut line) {
+        match read_line_capped(&mut reader, &mut line, MAX_REQUEST_LINE, &stopped) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
     }
 }
 
-/// Answers one HTTP request (already-read request line in `first`).
+/// Sends one native message: `msg` and its `'\n'` rendered into one
+/// buffer and handed to the stream in a single `write_all` (the module
+/// doc's framing rule).
+fn send_line(writer: &mut dyn Write, msg: &Json) -> io::Result<()> {
+    let mut line = msg.to_string();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
+/// Answers one HTTP request (already-read request line in `first`)
+/// with one `write_all` of the whole response.
 fn respond_http<R: BufRead>(
     engine: &Engine,
     first: &str,
@@ -236,9 +255,12 @@ fn respond_http<R: BufRead>(
     engine.count_request(RequestKind::Http);
     // Drain the request headers up to the blank line, each bounded by
     // the request-line cap and at most MAX_HTTP_HEADERS of them.
+    let stopped = || engine.stopped();
     let mut line = String::new();
     for _ in 0..MAX_HTTP_HEADERS {
-        if read_line_polling(engine, reader, &mut line)? == 0 || line.trim_end().is_empty() {
+        if read_line_capped(reader, &mut line, MAX_REQUEST_LINE, &stopped)? == 0
+            || line.trim_end().is_empty()
+        {
             break;
         }
     }
@@ -246,11 +268,11 @@ fn respond_http<R: BufRead>(
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("/");
     let (status, content_type, body) = route(engine, method, path);
-    write!(
-        writer,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }
 
@@ -471,6 +493,7 @@ impl Client {
     /// Any `io::Error` from `TcpStream::connect`.
     pub fn connect_tcp(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = ClientStream::Tcp(stream.try_clone()?);
         Ok(Client {
             reader: BufReader::new(reader),
@@ -509,12 +532,14 @@ impl Client {
     /// # Errors
     ///
     /// Any transport `io::Error`, or `InvalidData` when the response
-    /// is not a JSON object.
+    /// is not a JSON object or its line would exceed
+    /// [`MAX_RESPONSE_LINE`] bytes.
     pub fn request(&mut self, req: &Json) -> io::Result<Json> {
-        writeln!(self.writer, "{req}")?;
-        self.writer.flush()?;
+        send_line(&mut self.writer, req)?;
+        // The client sets no read timeout, so it never has to decide
+        // whether to stop waiting.
         let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        if read_line_capped(&mut self.reader, &mut line, MAX_RESPONSE_LINE, &|| false)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
@@ -522,5 +547,133 @@ impl Client {
         }
         Json::parse(line.trim_end())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineOptions;
+    use redsim_util::io::RealIo;
+
+    /// A `Write` that keeps every `write` call's bytes separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn engine(tag: &str) -> Engine {
+        let dir = std::env::temp_dir().join(format!("redsim-net-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = EngineOptions {
+            workers: 1,
+            ..EngineOptions::default()
+        };
+        Engine::open(Arc::new(RealIo), &dir, opts).expect("open engine")
+    }
+
+    /// The `write` calls `handle_conn` makes answering `input`.
+    fn writes_for(engine: &Engine, input: &str) -> Vec<String> {
+        let mut out = CountingWriter::default();
+        handle_conn(engine, input.as_bytes(), &mut out);
+        out.writes
+            .into_iter()
+            .map(|w| String::from_utf8(w).expect("utf-8 response"))
+            .collect()
+    }
+
+    #[test]
+    fn send_line_is_one_write_of_the_message_and_its_newline() {
+        let mut out = CountingWriter::default();
+        let msg = Json::obj().field("ok", true).field("pong", true);
+        send_line(&mut out, &msg).expect("send");
+        assert_eq!(out.writes, vec![b"{\"ok\":true,\"pong\":true}\n".to_vec()]);
+    }
+
+    #[test]
+    fn each_native_response_is_one_write() {
+        let engine = engine("native");
+        let input = "{\"op\":\"ping\"}\n{\"op\":\"status\"}\n{\"op\":\"metrics\"}\n\
+                     {\"op\":\"nope\"}\nnot json\n";
+        let writes = writes_for(&engine, input);
+        assert_eq!(writes.len(), 5, "{writes:?}");
+        assert_eq!(writes[0], "{\"ok\":true,\"pong\":true}\n");
+        for w in &writes {
+            assert!(w.ends_with('\n'), "{w:?}");
+            assert_eq!(w.matches('\n').count(), 1, "one message per write: {w:?}");
+            Json::parse(w.trim_end()).expect("each write is one JSON object");
+        }
+        engine.close().expect("close");
+    }
+
+    #[test]
+    fn each_http_response_is_one_write_with_unchanged_bytes() {
+        let engine = engine("http");
+        for path in ["/metrics", "/jobs", "/jobs/7", "/nope"] {
+            let writes = writes_for(&engine, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"));
+            assert_eq!(writes.len(), 1, "{path}: {writes:?}");
+            let (head, body) = writes[0].split_once("\r\n\r\n").expect("head/body");
+            assert!(head.starts_with("HTTP/1.1 "), "{head}");
+            assert!(
+                head.ends_with(&format!(
+                    "Content-Length: {}\r\nConnection: close",
+                    body.len()
+                )),
+                "{head}"
+            );
+        }
+        let body = "not found; try /metrics, /jobs, /jobs/<id>, /jobs/<id>/attribution\n";
+        assert_eq!(
+            writes_for(&engine, "GET /nope HTTP/1.1\r\n\r\n"),
+            vec![format!(
+                "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{body}",
+                body.len()
+            )]
+        );
+        let writes = writes_for(&engine, "POST /jobs HTTP/1.1\r\n\r\n");
+        assert_eq!(writes.len(), 1, "{writes:?}");
+        assert!(writes[0].starts_with("HTTP/1.1 405 Method Not Allowed\r\n"));
+        engine.close().expect("close");
+    }
+
+    #[test]
+    fn capped_reader_reuses_its_line_and_refuses_overlong_input() {
+        let never = || false;
+        let mut reader = BufReader::new("first\nsecond\ntail".as_bytes());
+        let mut line = String::with_capacity(64);
+        let buffer = line.as_ptr();
+        for want in ["first\n", "second\n", "tail"] {
+            let n = read_line_capped(&mut reader, &mut line, 64, &never).expect("line");
+            assert_eq!((n, line.as_str()), (want.len(), want));
+            assert_eq!(line.as_ptr(), buffer, "the line's allocation is reused");
+        }
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 64, &never).expect("eof"),
+            0
+        );
+
+        // An unterminated line fails at the cap, having taken no more
+        // than the cap from the reader.
+        let total = 1 << 20;
+        let mut flood = BufReader::new(io::repeat(b'A').take(total));
+        let err = read_line_capped(&mut flood, &mut line, 4096, &never).expect_err("cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let taken = total - flood.get_ref().limit() - flood.buffer().len() as u64;
+        assert!(taken <= 4096, "took {taken} bytes past a 4096-byte cap");
+
+        let err = read_line_capped(&mut &b"\xff\n"[..], &mut line, 64, &never).expect_err("utf-8");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -7,8 +7,8 @@
 #   scripts/verify.sh               # everything
 #   scripts/verify.sh bench-smoke   # only the bench + determinism smoke
 #                                   # (assumes a release build exists)
-#   scripts/verify.sh perfbench     # only the benchmark package build +
-#                                   # unit tests
+#   scripts/verify.sh perfbench     # only the benchmark package build,
+#                                   # unit tests and serve correctness run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,6 +97,12 @@ perfbench_check() {
     # silently rewriting perfbench/Cargo.lock.
     run cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
     run cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+    # The benchmark's correctness gate end to end: a one-second serve
+    # run checks every served result against its spec fingerprint, the
+    # dedup answers and the trace-tier counts, and exits non-zero when
+    # any check fails.
+    run cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload serve --seed 1 --seconds 1 --trace 0
 }
 
 metrics_smoke() {
