@@ -31,9 +31,11 @@
 //!   and deterministic, so the results are identical for any `N`.
 //!
 //! The binaries build their experiment grid as a list of [`Job`]s and
-//! hand it to [`Harness::sweep`], which materializes each workload's
+//! hand it to [`Harness::try_sweep`], which materializes each workload's
 //! committed trace once (shared as `Arc<[DynInst]>`) and runs the grid
-//! in parallel.
+//! in parallel on the shared [`pool`] — the same pool, attempt path
+//! ([`run_job_isolated`]) and simulator builder ([`Job::simulator`])
+//! the fault-campaign shards run through.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +48,7 @@ use redsim_core::{
 };
 use redsim_isa::trace::DynInst;
 use redsim_util::Json;
-use redsim_workloads::{Params, Workload};
+use redsim_workloads::{Params, Workload, DEFAULT_TRACE_BUDGET};
 
 pub mod diff;
 
@@ -57,7 +59,7 @@ pub struct Cli {
     pub quick: bool,
     /// Emit JSON instead of the aligned text table (`--json`).
     pub json: bool,
-    /// Worker threads for [`Harness::sweep`] (`--threads N`).
+    /// Worker threads for [`Harness::try_sweep`] (`--threads N`).
     pub threads: usize,
     /// Replications across independent seeds (`--seeds N`, default 1).
     /// Figure binaries that support it report mean ± stddev columns.
@@ -87,6 +89,9 @@ pub enum CliError {
     /// through as a zero-cycle window — a degenerate tiling the sampler
     /// should never see).
     InvalidMetricsWindow(String),
+    /// A value flag (`--threads`, `--seeds`, `--metrics-window`) was
+    /// the last argument, with no value after it.
+    MissingValue(&'static str),
 }
 
 impl std::fmt::Display for CliError {
@@ -104,6 +109,7 @@ impl std::fmt::Display for CliError {
                     "--metrics-window expects a positive cycle count, got {v:?}"
                 )
             }
+            CliError::MissingValue(flag) => write!(f, "{flag} expects a value"),
         }
     }
 }
@@ -125,6 +131,23 @@ fn env_value_enabled(value: Option<&std::ffi::OsStr>) -> bool {
     let Some(v) = value else { return false };
     let s = v.to_string_lossy();
     !(s.is_empty() || s == "0" || s.eq_ignore_ascii_case("false"))
+}
+
+/// The argument after the first `name`: `None` when the flag is absent,
+/// [`CliError::MissingValue`] when it is the last argument.
+fn value_after<'a>(args: &'a [String], name: &'static str) -> Result<Option<&'a str>, CliError> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or(CliError::MissingValue(name)),
+    }
+}
+
+/// `v` as a number above zero, if it is one.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n > T::default())
 }
 
 impl Cli {
@@ -154,33 +177,22 @@ impl Cli {
     /// # Errors
     ///
     /// [`CliError`] when `--threads`, `--seeds` or `--metrics-window`
-    /// is zero or not an integer.
+    /// is zero, not an integer, or missing its value.
     pub fn try_from_vec(args: Vec<String>) -> Result<Self, CliError> {
         let quick = args.iter().any(|a| a == "--quick") || env_flag("REDSIM_QUICK");
         let json = args.iter().any(|a| a == "--json");
-        let threads = match args.windows(2).find(|w| w[0] == "--threads") {
-            Some(w) => w[1]
-                .parse()
-                .ok()
-                .filter(|&n: &usize| n > 0)
-                .ok_or_else(|| CliError::InvalidThreads(w[1].clone()))?,
+        let threads = match value_after(&args, "--threads")? {
+            Some(v) => positive(v).ok_or_else(|| CliError::InvalidThreads(v.to_owned()))?,
             None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         };
-        let seeds = match args.windows(2).find(|w| w[0] == "--seeds") {
-            Some(w) => w[1]
-                .parse()
-                .ok()
-                .filter(|&n: &u32| n > 0)
-                .ok_or_else(|| CliError::InvalidSeeds(w[1].clone()))?,
+        let seeds = match value_after(&args, "--seeds")? {
+            Some(v) => positive(v).ok_or_else(|| CliError::InvalidSeeds(v.to_owned()))?,
             None => 1,
         };
-        let metrics_window = match args.windows(2).find(|w| w[0] == "--metrics-window") {
-            Some(w) => Some(
-                w[1].parse()
-                    .ok()
-                    .filter(|&n: &u64| n > 0)
-                    .ok_or_else(|| CliError::InvalidMetricsWindow(w[1].clone()))?,
-            ),
+        let metrics_window = match value_after(&args, "--metrics-window")? {
+            Some(v) => {
+                Some(positive(v).ok_or_else(|| CliError::InvalidMetricsWindow(v.to_owned()))?)
+            }
             None => None,
         };
         Ok(Cli {
@@ -303,6 +315,41 @@ impl Job {
     pub fn with_attribution(mut self) -> Self {
         self.attribution = true;
         self
+    }
+
+    /// The simulator this job runs on: the only place a job's faults,
+    /// watchdog, cancel flag and attribution reach a [`Simulator`].
+    /// Every run of a job — a sweep cell, a campaign shard attempt, a
+    /// hang replay — starts here.
+    ///
+    /// # Errors
+    ///
+    /// A [`JobErrorKind::Sim`] failure when the fault configuration is
+    /// invalid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Job::config`] is invalid ([`Simulator::new`]).
+    pub fn simulator(&self) -> Result<Simulator, JobFailure> {
+        let mut sim = Simulator::new(self.config.clone(), self.mode);
+        if let Some(fc) = self.faults {
+            sim = sim.try_with_faults(fc).map_err(|e| {
+                JobFailure::new(
+                    JobErrorKind::Sim,
+                    format!("invalid fault configuration: {e}"),
+                )
+            })?;
+        }
+        if let Some(w) = self.watchdog {
+            sim = sim.with_watchdog(w);
+        }
+        if let Some(c) = &self.cancel {
+            sim = sim.with_cancel(Arc::clone(c));
+        }
+        if self.attribution {
+            sim = sim.with_attribution();
+        }
+        Ok(sim)
     }
 
     /// A short human-readable label (error reports, manifests).
@@ -464,103 +511,116 @@ fn classify_sim_error(e: &redsim_core::SimError) -> JobErrorKind {
     }
 }
 
-/// Runs one job, reporting its stats and the wall-clock throughput of
-/// the timing simulation (trace construction is excluded — the caller
-/// materializes traces up front).
-///
-/// # Errors
-///
-/// A typed [`JobFailure`] carrying the retry classification (deadlock,
-/// budget exhaustion, a fired host deadline...).
-fn run_job(
-    trace: &[DynInst],
-    job: &Job,
-) -> Result<(SimStats, Throughput, Vec<WindowSample>), JobFailure> {
-    let mut source = SliceSource::new(trace);
-    let mut sim = Simulator::new(job.config.clone(), job.mode);
-    if let Some(fc) = job.faults {
-        sim = sim.try_with_faults(fc).map_err(|e| {
-            JobFailure::new(
-                JobErrorKind::Sim,
-                format!("invalid fault configuration: {e}"),
-            )
-        })?;
-    }
-    if let Some(w) = job.watchdog {
-        sim = sim.with_watchdog(w);
-    }
-    if let Some(c) = &job.cancel {
-        sim = sim.with_cancel(Arc::clone(c));
-    }
-    if job.attribution {
-        sim = sim.with_attribution();
-    }
-    let sim_err = |e: redsim_core::SimError| JobFailure::new(classify_sim_error(&e), e.to_string());
-    let t0 = std::time::Instant::now();
-    let (stats, windows) = if let Some(window) = job.metrics_window {
-        let mut collector = MetricsCollector::new(window);
-        let mut tracer = NullTracer;
-        let stats = sim
-            .run_source_instrumented(
-                &mut source,
-                Instrumentation {
-                    tracer: &mut tracer,
-                    metrics: &mut collector,
-                    profiler: None,
-                },
-            )
-            .map_err(sim_err)?;
-        (stats, collector.into_samples())
-    } else {
-        let stats = sim.run_source(&mut source).map_err(sim_err)?;
-        (stats, Vec::new())
-    };
-    let perf = Throughput {
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        sim_cycles: stats.cycles,
-        committed_insts: stats.committed_insts,
-    };
-    Ok((stats, perf, windows))
-}
+/// One job's successful attempt: its stats, host throughput and
+/// windowed-metrics series (empty unless [`Job::metrics_window`] is set).
+pub type JobOutput = (SimStats, Throughput, Vec<WindowSample>);
 
-/// Runs one job with panic isolation: a panicking simulation (a model
-/// bug, an invalid configuration) becomes a [`JobFailure`] instead of
-/// tearing down the sweep. A `String`/`&str` panic payload is preserved
-/// verbatim in [`JobFailure::panic_payload`] — the display message
-/// prefixes it with `panic: `, but post-mortems get the raw text.
+/// Runs one job attempt with panic isolation: a simulation error or a
+/// panicking simulation (a model bug, an invalid configuration) becomes
+/// a [`JobFailure`] instead of tearing down the caller. A `String`/`&str`
+/// panic payload is preserved verbatim in [`JobFailure::panic_payload`]
+/// — the display message prefixes it with `panic: `, but post-mortems
+/// get the raw text. The returned [`Throughput`] times the timing
+/// simulation only (`job_seconds`; traces are built before).
 ///
-/// This is the attempt-level entry point the campaign shard supervisor
-/// retries around; the sweep path below shares it.
+/// This is the one attempt path: the sweep pool runs it once per job,
+/// and the campaign shard supervisor retries around it.
 ///
 /// # Errors
 ///
 /// Every failure mode of the job — simulation error, fired deadline,
 /// panic — as a typed [`JobFailure`].
-pub fn run_job_isolated(
-    trace: &[DynInst],
-    job: &Job,
-) -> Result<(SimStats, Throughput, Vec<WindowSample>), JobFailure> {
-    match catch_unwind(AssertUnwindSafe(|| run_job(trace, job))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let payload = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned());
-            let msg = payload
-                .clone()
-                .unwrap_or_else(|| "panic with non-string payload".to_owned());
-            Err(JobFailure {
-                kind: JobErrorKind::Panic,
-                message: format!("panic: {msg}"),
-                panic_payload: payload,
-            })
+pub fn run_job_isolated(trace: &[DynInst], job: &Job) -> Result<JobOutput, JobFailure> {
+    let attempt = || -> Result<JobOutput, JobFailure> {
+        let sim = job.simulator()?;
+        let mut source = SliceSource::new(trace);
+        let sim_err =
+            |e: redsim_core::SimError| JobFailure::new(classify_sim_error(&e), e.to_string());
+        let t0 = std::time::Instant::now();
+        let (stats, windows) = if let Some(window) = job.metrics_window {
+            let mut collector = MetricsCollector::new(window);
+            let stats = sim
+                .run_source_instrumented(
+                    &mut source,
+                    Instrumentation {
+                        tracer: &mut NullTracer,
+                        metrics: &mut collector,
+                        profiler: None,
+                    },
+                )
+                .map_err(sim_err)?;
+            (stats, collector.into_samples())
+        } else {
+            (sim.run_source(&mut source).map_err(sim_err)?, Vec::new())
+        };
+        let perf = Throughput {
+            wall_seconds: 0.0,
+            job_seconds: t0.elapsed().as_secs_f64(),
+            sim_cycles: stats.cycles,
+            committed_insts: stats.committed_insts,
+        };
+        Ok((stats, perf, windows))
+    };
+    catch_unwind(AssertUnwindSafe(attempt)).unwrap_or_else(|payload| {
+        let payload = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned());
+        let msg = payload
+            .clone()
+            .unwrap_or_else(|| "panic with non-string payload".to_owned());
+        Err(JobFailure {
+            kind: JobErrorKind::Panic,
+            message: format!("panic: {msg}"),
+            panic_payload: payload,
+        })
+    })
+}
+
+/// The one worker pool behind figure sweeps and campaign shards: runs
+/// `run(i)` for every `i` in `0..n` across `threads` workers (clamped to
+/// `1..=n`; one worker runs on the calling thread) and returns the
+/// results in index order. Workers claim indices in order from a shared
+/// counter, so which thread runs a job varies, but never the result.
+///
+/// `run` returning `None` stops the pool: no index not yet claimed
+/// starts, and every slot without a result — the stopping one
+/// included — comes back `None`.
+pub fn pool<T: Send + Sync>(
+    n: usize,
+    threads: usize,
+    run: impl Fn(usize) -> Option<T> + Sync,
+) -> Vec<Option<T>> {
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let worker = || {
+        while !stop.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            match run(i) {
+                Some(r) => assert!(slots[i].set(r).is_ok(), "each job runs once"),
+                None => stop.store(true, Ordering::Relaxed),
+            }
         }
+    };
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(worker);
+            }
+        });
     }
+    slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
 /// Harness context: workload sizing, per-workload trace caching, and
-/// accumulated wall-clock throughput of every simulation run.
+/// accumulated wall-clock throughput of every sweep run.
 #[derive(Debug, Default)]
 pub struct Harness {
     quick: bool,
@@ -609,33 +669,25 @@ impl Harness {
         }
     }
 
-    /// The committed-path trace of a workload. Built once per workload
-    /// (the functional emulator is the expensive part) and shared by
-    /// reference count, so sweeps re-run the timing model over the
-    /// identical instruction stream without copying it.
-    pub fn trace(&mut self, w: Workload) -> Arc<[DynInst]> {
-        self.trace_for(w, None)
-    }
-
-    /// Like [`Harness::trace`], with an optional input-seed override.
-    /// Each `(workload, seed)` pair is built once and cached.
+    /// The committed-path trace of a workload at its default input
+    /// seed; see [`Harness::try_trace_for`].
     ///
     /// # Panics
     ///
-    /// Panics if the workload fails to assemble or execute; use
-    /// [`Harness::try_trace_for`] to get the structured error instead.
-    pub fn trace_for(&mut self, w: Workload, input_seed: Option<u64>) -> Arc<[DynInst]> {
-        match self.try_trace_for(w, input_seed) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
+    /// Panics if the workload fails to assemble or execute.
+    pub fn trace(&mut self, w: Workload) -> Arc<[DynInst]> {
+        self.try_trace_for(w, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`Harness::trace_for`]: a workload that fails
-    /// to assemble or to reach `halt` within the instruction budget
-    /// reports a [`redsim_workloads::WorkloadError`] instead of
-    /// panicking. Failures are not cached, so a retry re-runs the
-    /// emulator.
+    /// The committed-path trace of a workload, with an optional
+    /// input-seed override. Each `(workload, seed)` pair is built once
+    /// (the functional emulator is the expensive part) and shared by
+    /// reference count, so sweeps re-run the timing model over the
+    /// identical instruction stream without copying it. A workload that
+    /// fails to assemble or to reach `halt` within the instruction
+    /// budget reports a [`redsim_workloads::WorkloadError`]; failures
+    /// are not cached, so a retry re-runs the emulator.
     pub fn try_trace_for(
         &mut self,
         w: Workload,
@@ -648,14 +700,27 @@ impl Harness {
         if let Some(seed) = input_seed {
             params.seed = seed;
         }
-        let trace: Arc<[DynInst]> = w.trace(params, 200_000_000)?.into();
+        let trace: Arc<[DynInst]> = w.trace(params, DEFAULT_TRACE_BUDGET)?.into();
         self.cache.insert((w, input_seed), Arc::clone(&trace));
         Ok(trace)
     }
 
-    /// Wall-clock throughput accumulated over every simulation this
-    /// harness has run (timing simulation only; functional trace
-    /// construction is excluded).
+    /// Every job's trace, in job order, each distinct one built once
+    /// through [`Harness::try_trace_for`] — the pool's first phase. A
+    /// trace that cannot be built is a [`JobErrorKind::Trace`] failure
+    /// for its jobs.
+    pub fn job_traces(&mut self, jobs: &[Job]) -> Vec<Result<Arc<[DynInst]>, JobFailure>> {
+        jobs.iter()
+            .map(|j| {
+                self.try_trace_for(j.workload, j.input_seed)
+                    .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
+            })
+            .collect()
+    }
+
+    /// Host throughput accumulated over every sweep this harness has
+    /// run: elapsed wall-clock (trace builds included) and the summed
+    /// per-job simulation time.
     #[must_use]
     pub fn perf(&self) -> &Throughput {
         &self.perf
@@ -670,39 +735,6 @@ impl Harness {
         &self.stalls
     }
 
-    /// Runs one workload under one mode and machine configuration.
-    pub fn run(&mut self, w: Workload, mode: ExecMode, cfg: &MachineConfig) -> SimStats {
-        let trace = self.trace(w);
-        let (stats, perf, _) =
-            run_job(&trace, &Job::new(w, mode, cfg)).expect("simulation completes");
-        self.perf.add(&perf);
-        self.stalls.add_run(&stats);
-        stats
-    }
-
-    /// Runs an experiment grid, fanning the jobs across `threads`
-    /// worker threads.
-    ///
-    /// Traces are materialized up front (once per distinct workload);
-    /// the workers then share them read-only. Results come back in job
-    /// order, and because every simulation is single-threaded and
-    /// deterministic, the output is bit-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job fails; use [`Harness::try_sweep`] to degrade
-    /// gracefully instead.
-    pub fn sweep(&mut self, jobs: &[Job], threads: usize) -> Vec<SimStats> {
-        let (stats, errors) = self.try_sweep(jobs, threads);
-        assert!(
-            errors.is_empty(),
-            "sweep job failed: {} ({})",
-            errors[0].label,
-            errors[0].message
-        );
-        stats
-    }
-
     /// Runs an experiment grid without aborting on individual-job
     /// failure: a job that returns a simulation error *or panics* is
     /// isolated, its slot in the returned stats is a default-valued
@@ -714,13 +746,20 @@ impl Harness {
 
     /// [`Harness::try_sweep`] with a per-job completion callback.
     ///
+    /// The grid runs through the shared pool: [`Harness::job_traces`],
+    /// then [`pool`] running [`run_job_isolated`] across `threads`
+    /// workers. Results come back in job order, and because every
+    /// simulation is single-threaded and deterministic, the stats are
+    /// bit-identical for any thread count. The pool's elapsed time,
+    /// trace builds included, adds to [`Harness::perf`]'s
+    /// `wall_seconds`; each job's simulation time to its `job_seconds`.
+    ///
     /// `on_done(index, result)` fires once per job, from the worker
     /// thread that finished it, as soon as the result is known —
     /// completion *order* is thread-schedule dependent, but each call's
     /// content is deterministic. On success the callback also receives
     /// the job's windowed-metrics series (empty unless the job set
-    /// [`Job::with_metrics_window`]). The campaign runner uses this to
-    /// checkpoint progress incrementally.
+    /// [`Job::with_metrics_window`]).
     ///
     /// A job whose *trace* cannot be materialized (workload assembly or
     /// emulation failure) is reported as a [`JobError`] like any other
@@ -731,21 +770,14 @@ impl Harness {
         threads: usize,
         on_done: impl Fn(usize, Result<(&SimStats, &[WindowSample]), &JobError>) + Sync,
     ) -> (Vec<SimStats>, Vec<JobError>) {
-        let traces: Vec<Result<Arc<[DynInst]>, JobFailure>> = jobs
-            .iter()
-            .map(|j| {
-                self.try_trace_for(j.workload, j.input_seed)
-                    .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
-            })
-            .collect();
-        let threads = threads.clamp(1, jobs.len().max(1));
-        type JobOk = (SimStats, Throughput, Vec<WindowSample>);
-        let run_one = |i: usize| -> Result<JobOk, JobError> {
+        let t0 = std::time::Instant::now();
+        let traces = self.job_traces(jobs);
+        let results = pool(jobs.len(), threads, |i| {
             let outcome = match &traces[i] {
                 Ok(trace) => run_job_isolated(trace, &jobs[i]),
                 Err(e) => Err(e.clone()),
             };
-            match outcome {
+            Some(match outcome {
                 Ok(r) => {
                     on_done(i, Ok((&r.0, r.2.as_slice())));
                     Ok(r)
@@ -755,36 +787,15 @@ impl Harness {
                     on_done(i, Err(&err));
                     Err(err)
                 }
-            }
-        };
-        let results: Vec<Result<JobOk, JobError>> = if threads == 1 {
-            (0..jobs.len()).map(run_one).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<OnceLock<Result<JobOk, JobError>>> =
-                jobs.iter().map(|_| OnceLock::new()).collect();
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        assert!(slots[i].set(run_one(i)).is_ok(), "each job runs once");
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|c| c.into_inner().expect("worker filled every slot"))
-                .collect()
-        };
+            })
+        });
+        self.perf.wall_seconds += t0.elapsed().as_secs_f64();
         // Accumulate in job order so the total is thread-count
         // independent apart from the wall-clock values themselves.
         let mut errors = Vec::new();
         let stats = results
             .into_iter()
-            .map(|r| match r {
+            .map(|r| match r.expect("the sweep never stops early") {
                 Ok((stats, perf, _)) => {
                     self.perf.add(&perf);
                     self.stalls.add_run(&stats);
@@ -919,10 +930,11 @@ impl Table {
 /// In text mode this reproduces the binaries' traditional layout: the
 /// title, a parenthesized note including the quick-mode flag, a blank
 /// line, then the aligned table. `perf` (usually [`Harness::perf`])
-/// reports the host-side wall-clock throughput of the runs behind the
-/// figure: in JSON it lands in a trailing `"perf"` field; in text mode
-/// it goes to *stderr*, keeping stdout captures byte-stable across
-/// machines.
+/// reports the host-side throughput of the runs behind the figure —
+/// `wall_seconds` (elapsed, trace builds included) then `job_seconds`
+/// (summed simulation time): in JSON it lands in a trailing `"perf"`
+/// field; in text mode it goes to *stderr*, keeping stdout captures
+/// byte-stable across machines.
 ///
 /// `errors` (usually the second half of [`Harness::try_sweep`]) lists
 /// the grid cells that failed: in JSON they become an `"errors"` array
@@ -985,9 +997,10 @@ pub fn emit(
         }
         if perf.wall_seconds > 0.0 {
             eprintln!(
-                "perf: {:.2}s wall, {:.2}M cycles/s, {:.2}M insts/s \
-                 ({} sim cycles, {} committed insts)",
+                "perf: {:.2}s wall-clock, {:.2}s summed job time, {:.2}M cycles/s, \
+                 {:.2}M insts/s per job-second ({} sim cycles, {} committed insts)",
                 perf.wall_seconds,
+                perf.job_seconds,
                 perf.cycles_per_sec() / 1e6,
                 perf.insts_per_sec() / 1e6,
                 perf.sim_cycles,
@@ -1151,6 +1164,23 @@ mod tests {
     }
 
     #[test]
+    fn cli_rejects_a_trailing_value_flag() {
+        // Regression: `--threads` as the last argument was dropped by
+        // the `windows(2)` lookup and the sweep ran on every core.
+        let args = |v: &[&str]| v.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        for flag in ["--threads", "--seeds", "--metrics-window"] {
+            assert_eq!(
+                Cli::try_from_vec(args(&["--quick", flag])).err(),
+                Some(CliError::MissingValue(flag))
+            );
+        }
+        assert_eq!(
+            CliError::MissingValue("--threads").to_string(),
+            "--threads expects a value"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "valid shared CLI arguments")]
     fn from_vec_panics_on_rejected_arguments() {
         let _ = Cli::from_vec(vec!["--threads".into(), "0".into()]);
@@ -1160,11 +1190,11 @@ mod tests {
     fn harness_accumulates_a_conserving_stall_summary() {
         let mut h = Harness::quick();
         let cfg = MachineConfig::paper_baseline();
-        let s1 = h.run(Workload::Gzip, ExecMode::Sie, &cfg);
+        let (s1, _) = h.try_sweep(&[Job::new(Workload::Gzip, ExecMode::Sie, &cfg)], 1);
         let jobs = vec![Job::new(Workload::Gzip, ExecMode::DieIrb, &cfg)];
-        let swept = h.sweep(&jobs, 1);
+        let (swept, _) = h.try_sweep(&jobs, 1);
         let sum = h.stall_summary();
-        assert_eq!(sum.cycles, s1.cycles + swept[0].cycles);
+        assert_eq!(sum.cycles, s1[0].cycles + swept[0].cycles);
         assert_eq!(
             sum.productive_cycles + sum.stalls.total(),
             sum.cycles,
@@ -1181,11 +1211,19 @@ mod tests {
         assert!(!a.is_empty());
     }
 
+    /// One job run on its own, outside any pool.
+    fn run_alone(h: &mut Harness, w: Workload, mode: ExecMode, cfg: &MachineConfig) -> SimStats {
+        let trace = h.trace(w);
+        run_job_isolated(&trace, &Job::new(w, mode, cfg))
+            .expect("simulation completes")
+            .0
+    }
+
     #[test]
     fn harness_run_produces_stats() {
         let mut h = Harness::quick();
         let cfg = MachineConfig::paper_baseline();
-        let s = h.run(Workload::Gzip, ExecMode::Sie, &cfg);
+        let s = run_alone(&mut h, Workload::Gzip, ExecMode::Sie, &cfg);
         assert!(s.ipc() > 0.0);
     }
 
@@ -1198,10 +1236,11 @@ mod tests {
             Job::new(Workload::Gzip, ExecMode::Die, &cfg),
             Job::new(Workload::Mcf, ExecMode::DieIrb, &cfg),
         ];
-        let swept = h.sweep(&jobs, 1);
-        assert_eq!(swept[0], h.run(Workload::Gzip, ExecMode::Sie, &cfg));
-        assert_eq!(swept[1], h.run(Workload::Gzip, ExecMode::Die, &cfg));
-        assert_eq!(swept[2], h.run(Workload::Mcf, ExecMode::DieIrb, &cfg));
+        let (swept, _) = h.try_sweep(&jobs, 1);
+        let alone = |h: &mut Harness, w, mode| run_alone(h, w, mode, &cfg);
+        assert_eq!(swept[0], alone(&mut h, Workload::Gzip, ExecMode::Sie));
+        assert_eq!(swept[1], alone(&mut h, Workload::Gzip, ExecMode::Die));
+        assert_eq!(swept[2], alone(&mut h, Workload::Mcf, ExecMode::DieIrb));
     }
 
     #[test]
@@ -1221,15 +1260,16 @@ mod tests {
                 ..FaultConfig::none()
             }),
         );
-        let serial = h.sweep(&jobs, 1);
-        let parallel = h.sweep(&jobs, 4);
+        let serial = h.try_sweep(&jobs, 1);
+        let parallel = h.try_sweep(&jobs, 4);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn sweep_of_empty_grid_is_empty() {
         let mut h = Harness::quick();
-        assert!(h.sweep(&[], 8).is_empty());
+        let (stats, errors) = h.try_sweep(&[], 8);
+        assert!(stats.is_empty() && errors.is_empty());
     }
 
     #[test]
@@ -1244,10 +1284,11 @@ mod tests {
     #[test]
     fn input_seed_changes_the_cached_trace() {
         let mut h = Harness::quick();
-        let base = h.trace_for(Workload::Gzip, None);
-        let same = h.trace_for(Workload::Gzip, None);
+        let mut trace_for = |seed| h.try_trace_for(Workload::Gzip, seed).expect("gzip builds");
+        let base = trace_for(None);
+        let same = trace_for(None);
         assert!(Arc::ptr_eq(&base, &same));
-        let other = h.trace_for(Workload::Gzip, Some(99));
+        let other = trace_for(Some(99));
         assert!(!Arc::ptr_eq(&base, &other), "seeds get distinct traces");
     }
 
@@ -1286,8 +1327,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep job failed")]
-    fn sweep_still_panics_on_job_failure() {
+    fn try_sweep_reports_an_invalid_fault_rate_as_a_sim_error() {
         let mut h = Harness::quick();
         let cfg = MachineConfig::paper_baseline();
         let bad = FaultConfig {
@@ -1295,7 +1335,47 @@ mod tests {
             ..FaultConfig::none()
         };
         let jobs = vec![Job::new(Workload::Gzip, ExecMode::Die, &cfg).with_faults(bad)];
-        let _ = h.sweep(&jobs, 1);
+        let (_, errors) = h.try_sweep(&jobs, 1);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].kind, JobErrorKind::Sim, "persistent, not a panic");
+    }
+
+    #[test]
+    fn pool_returns_results_in_index_order_at_any_thread_count() {
+        for threads in [1, 3, 64] {
+            let out = pool(10, threads, |i| Some(i * i));
+            assert_eq!(out, (0..10).map(|i| Some(i * i)).collect::<Vec<_>>());
+        }
+        assert!(pool(0, 4, Some).is_empty());
+    }
+
+    #[test]
+    fn a_stopping_job_starts_nothing_after_it() {
+        // One worker claims indices in order, so the cut is exact: the
+        // stopping slot and every later one stay empty.
+        let out = pool(6, 1, |i| (i != 2).then_some(i));
+        assert_eq!(out, vec![Some(0), Some(1), None, None, None, None]);
+    }
+
+    #[test]
+    fn perf_reports_wall_clock_then_summed_job_time() {
+        let mut h = Harness::quick();
+        let cfg = MachineConfig::paper_baseline();
+        let jobs = vec![
+            Job::new(Workload::Gzip, ExecMode::Sie, &cfg),
+            Job::new(Workload::Gzip, ExecMode::Die, &cfg),
+        ];
+        let _ = h.try_sweep(&jobs, 1);
+        let p = *h.perf();
+        assert!(p.job_seconds > 0.0);
+        // On one worker the pool's wall-clock covers the trace build
+        // and both jobs, so it bounds their summed time from above.
+        assert!(p.wall_seconds >= p.job_seconds, "{p:?}");
+        let json = p.to_json().to_string();
+        assert!(
+            json.starts_with(r#"{"wall_seconds":"#) && json.contains(r#","job_seconds":"#),
+            "{json}"
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! A fault-injection campaign runner built for interruption: it
 //! enumerates a deterministic list of *shards* (one simulation per
 //! `(scenario, workload, fault-seed)` cell), fans them across worker
-//! threads through the bench [`Harness`], and checkpoints every
-//! completed shard to an append-only JSONL *progress manifest* so a
-//! killed campaign resumes where it stopped.
+//! threads through the bench [`Harness`] traces and [`pool`] — the
+//! same pool, attempt path and `Job` → `Simulator` builder the figure
+//! sweeps use — and checkpoints every completed shard to an
+//! append-only JSONL *progress manifest* so a killed campaign resumes
+//! where it stopped.
 //!
 //! Robustness properties, by construction rather than by testing luck:
 //!
@@ -17,8 +19,9 @@
 //!   a resume against a *different* campaign is rejected, never merged.
 //! * **Per-shard isolation** — a shard that panics or returns a
 //!   simulation error is recorded as a structured failure
-//!   (`"ok":false`) and the remaining shards still run
-//!   ([`Harness::try_sweep_with`] wraps each job in `catch_unwind`).
+//!   (`"ok":false`) and the remaining shards still run (every attempt
+//!   goes through [`redsim_bench::run_job_isolated`], which wraps the
+//!   job in `catch_unwind`).
 //! * **Livelock containment** — the spec's watchdog deadline bounds
 //!   every shard in simulated cycles; a tripped watchdog classifies the
 //!   shard's pending faults as `Hang` and completes normally.
@@ -43,17 +46,15 @@
 use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use redsim_bench::Harness;
+use redsim_bench::{pool, Harness};
 pub use redsim_bench::{Job, JobError, JobErrorKind, JobFailure};
 use redsim_core::{
     ExecMode, FaultConfig, FaultLifecycle, FlightRecorder, ForwardingPolicy, Histogram,
-    Instrumentation, MachineConfig, NullMetrics, SimStats, Simulator, SliceSource, WindowSample,
+    Instrumentation, MachineConfig, NullMetrics, SimStats, SliceSource, WindowSample,
 };
-use redsim_isa::trace::DynInst;
 use redsim_util::framed::{self, Appender};
 use redsim_util::hash::FxHasher;
 use redsim_util::io::{atomic_write, FsyncPolicy, Io, RealIo};
@@ -409,25 +410,18 @@ fn lifecycle_json(l: &FaultLifecycle) -> Json {
         .field("refetch_penalty_sum", l.refetch_penalty_sum)
 }
 
-/// What a failed shard writes into its record: the terminal failure,
-/// the attempts spent, and the supervisor's verdict.
-#[derive(Debug, Clone, Copy)]
-struct FailureInfo<'a> {
-    failure: &'a JobFailure,
-    attempts: u32,
-    quarantined: bool,
-}
-
-/// The deterministic record line for one completed shard. Successful
-/// shards that ran with a metrics window append their per-window
-/// milli-IPC series (integers — exactly mergeable downstream).
+/// The deterministic record line for one completed shard. A failed
+/// shard records its terminal failure, the attempts spent and the
+/// supervisor's verdict. Successful shards that ran with a metrics
+/// window append their per-window milli-IPC series (integers —
+/// exactly mergeable downstream).
 /// Successful records carry no attempt count: which attempt finally
 /// succeeded is host history, and keeping it out of the record is what
 /// makes reports byte-identical regardless of retry schedule.
 fn record_line(
     shard: &Shard,
     label: &str,
-    result: Result<(&SimStats, &[WindowSample]), FailureInfo<'_>>,
+    result: Result<(&SimStats, &[WindowSample]), &ShardFailure>,
 ) -> String {
     let base = Json::obj()
         .field("kind", "shard")
@@ -728,86 +722,50 @@ pub fn run_campaign(
         _ => false,
     };
 
+    // One harness per call: the shards and any hang replays below share
+    // its traces.
+    let mut harness = Harness::new(spec.quick);
     if !pending.is_empty() {
         let jobs: Vec<Job> = pending.iter().map(|s| spec.job(s)).collect();
-        // Traces are materialized up front, single-threaded, through
-        // the bench cache — workers then share them read-only. A trace
-        // that cannot be built is a persistent failure for its shards.
-        let mut h = Harness::new(spec.quick);
-        let traces: Vec<Result<Arc<[DynInst]>, JobFailure>> = jobs
-            .iter()
-            .map(|j| {
-                h.try_trace_for(j.workload, j.input_seed)
-                    .map_err(|e| JobFailure::new(JobErrorKind::Trace, e.to_string()))
-            })
-            .collect();
+        let traces = harness.job_traces(&jobs);
         let sink = Appender::open(io, &opts.progress_path, opts.fsync.sync_records())?;
         let monitor = opts.host_deadline.map(|_| DeadlineMonitor::new());
-        let abort = AtomicBool::new(false);
-        let next = AtomicUsize::new(0);
-        let fresh: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let threads = opts.threads.clamp(1, pending.len());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= pending.len() {
-                        break;
-                    }
-                    let shard = &pending[i];
-                    let label = spec.label(shard);
-                    let injected = opts.flake.as_ref().map_or(0, |f| f.failures_for(shard.id));
-                    let line = match &traces[i] {
-                        Err(f) => record_line(
-                            shard,
-                            &label,
-                            Err(FailureInfo {
-                                failure: f,
-                                attempts: 1,
-                                quarantined: false,
-                            }),
-                        ),
-                        Ok(trace) => match execute_shard(
-                            trace,
-                            &jobs[i],
-                            &opts.retry,
-                            monitor.as_ref(),
-                            opts.host_deadline,
-                            injected,
-                        ) {
-                            Ok((stats, windows)) => {
-                                record_line(shard, &label, Ok((&stats, &windows)))
-                            }
-                            Err(sf) => record_line(
-                                shard,
-                                &label,
-                                Err(FailureInfo {
-                                    failure: &sf.failure,
-                                    attempts: sf.attempts,
-                                    quarantined: sf.quarantined,
-                                }),
-                            ),
-                        },
-                    };
-                    if sink.append(&line).is_err() {
-                        abort.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    fresh
-                        .lock()
-                        .expect("record list lock")
-                        .push((shard.id, line));
-                });
-            }
+        // Each worker runs its shard and appends the record; the first
+        // failed append stops the pool, so no further shard starts.
+        let lines = pool(pending.len(), opts.threads, |i| {
+            let shard = &pending[i];
+            let result = match &traces[i] {
+                Ok(trace) => execute_shard(
+                    trace,
+                    &jobs[i],
+                    &opts.retry,
+                    monitor.as_ref(),
+                    opts.host_deadline,
+                    opts.flake.as_ref().map_or(0, |f| f.failures_for(shard.id)),
+                ),
+                Err(failure) => Err(ShardFailure {
+                    failure: failure.clone(),
+                    attempts: 1,
+                    quarantined: false,
+                }),
+            };
+            let line = record_line(
+                shard,
+                &spec.label(shard),
+                result
+                    .as_ref()
+                    .map(|(stats, windows)| (stats, windows.as_slice())),
+            );
+            sink.append(&line).ok()?;
+            Some(line)
         });
         if let Some(e) = sink.into_error() {
             return Err(CampaignError::Io(e));
         }
-        for (id, line) in fresh.into_inner().expect("record list lock") {
-            done.insert(id, line);
+        for (shard, line) in pending.iter().zip(lines) {
+            if let Some(line) = line {
+                done.insert(shard.id, line);
+            }
         }
     }
 
@@ -828,13 +786,12 @@ pub fn run_campaign(
 
     let mut hang_traces = Vec::new();
     if let Some(dump) = &opts.hang_dumps {
-        let mut h = Harness::new(spec.quick);
         for (&id, line) in &done {
             let Ok(j) = Json::parse(line) else { continue };
             if j.get("watchdog_fired").and_then(Json::as_bool) != Some(true) {
                 continue;
             }
-            if let Some(p) = dump_hang_trace(spec, &shards[id], dump, &mut h) {
+            if let Some(p) = dump_hang_trace(spec, &shards[id], dump, opts, &mut harness) {
                 hang_traces.push(p);
             }
         }
@@ -852,42 +809,45 @@ pub fn run_campaign(
 }
 
 /// Replays one hung shard deterministically under a flight recorder and
-/// writes its Chrome-trace sidecar. The replay is single-threaded and a
-/// pure function of the shard's job, so the sidecar bytes are identical
-/// however the campaign itself was scheduled. Best-effort post-mortem:
-/// a replay or I/O failure skips the sidecar, never fails the campaign.
+/// writes its Chrome-trace sidecar atomically through `opts.io`, so a
+/// crash mid-write leaves no sidecar and the next resume rewrites it.
+/// The replay is single-threaded and a pure function of the shard's
+/// job, so the sidecar bytes are identical however the campaign itself
+/// was scheduled. Best-effort post-mortem: a replay or I/O failure
+/// skips the sidecar, never fails the campaign.
 fn dump_hang_trace(
     spec: &CampaignSpec,
     shard: &Shard,
     dump: &HangDumpOptions,
+    opts: &CampaignOptions,
     harness: &mut Harness,
 ) -> Option<PathBuf> {
     let path = hang_trace_path(&dump.base, shard.id);
-    if path.exists() {
+    if opts.io.exists(&path) {
         return Some(path); // resumed campaign: the dump is already on disk
     }
     let job = spec.job(shard);
     let trace = harness.try_trace_for(job.workload, job.input_seed).ok()?;
-    let mut sim = Simulator::new(job.config.clone(), job.mode);
-    if let Some(fc) = job.faults {
-        sim = sim.try_with_faults(fc).ok()?;
-    }
-    if let Some(w) = job.watchdog {
-        sim = sim.with_watchdog(w);
-    }
+    let sim = job.simulator().ok()?;
     let mut recorder = FlightRecorder::new(dump.capacity);
-    let mut source = SliceSource::new(&trace);
     // The shard already ran to classification once; the replay exists
     // only for its event tail, so the stats result is discarded.
     let _ = sim.run_source_instrumented(
-        &mut source,
+        &mut SliceSource::new(&trace),
         Instrumentation {
             tracer: &mut recorder,
             metrics: &mut NullMetrics,
             profiler: None,
         },
     );
-    std::fs::write(&path, format!("{}\n", recorder.to_chrome_json())).ok()?;
+    let text = format!("{}\n", recorder.to_chrome_json());
+    atomic_write(
+        opts.io.as_ref(),
+        &path,
+        text.as_bytes(),
+        opts.fsync.sync_barriers(),
+    )
+    .ok()?;
     Some(path)
 }
 
@@ -1013,8 +973,8 @@ mod tests {
         let line = record_line(
             &shard,
             "l",
-            Err(FailureInfo {
-                failure: &failure,
+            Err(&ShardFailure {
+                failure,
                 attempts: 3,
                 quarantined: true,
             }),

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use redsim_campaign::{
-    run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignReport, CampaignSpec,
-    FlakePlan, Scenario,
+    hang_trace_path, run_campaign, CampaignError, CampaignOptions, CampaignOutcome, CampaignReport,
+    CampaignSpec, FlakePlan, HangDumpOptions, Scenario,
 };
 use redsim_core::{ExecMode, FaultConfig, ForwardingPolicy};
 use redsim_util::io::{ChaosConfig, ChaosIo, RealIo};
@@ -204,4 +204,80 @@ fn an_expired_host_deadline_quarantines_with_the_deadline_kind() {
     }
     let again = run(4, "deadline4");
     assert_eq!(again.report, report.report);
+}
+
+#[test]
+fn a_kill_during_the_hang_sidecar_write_leaves_no_sidecar_until_resume() {
+    // DIE with fu_rate 1.0 livelocks; the watchdog contains the shard
+    // and the campaign replays it into a flight-recorder sidecar.
+    let spec = CampaignSpec {
+        scenarios: vec![Scenario {
+            name: "livelock".to_owned(),
+            mode: ExecMode::Die,
+            faults: FaultConfig {
+                fu_rate: 1.0,
+                seed: 3,
+                ..FaultConfig::none()
+            },
+            forwarding: ForwardingPolicy::PrimaryToBoth,
+        }],
+        workloads: vec![Workload::Gzip],
+        seeds: 1,
+        quick: true,
+        watchdog: Some(20_000),
+        metrics_window: None,
+    };
+    let with_dumps = |o: &mut CampaignOptions| {
+        o.hang_dumps = Some(HangDumpOptions {
+            base: o.report_path.clone(),
+            capacity: 4096,
+        });
+    };
+    // Count the IO operations with and without the sidecar: the
+    // sidecar's own operations (create temp, write, sync, rename) come
+    // last, so the first write after the plain run's count is its data.
+    let ops = |dir: &str, dumps: bool| {
+        let probe = ChaosIo::new(Arc::new(RealIo), ChaosConfig::quiet(0));
+        let mut o = opts(dir, 1);
+        o.io = Arc::new(probe.clone());
+        if dumps {
+            with_dumps(&mut o);
+        }
+        complete(run_campaign(&spec, &o).expect("quiet chaos is a clean run"));
+        probe.ops()
+    };
+    let plain = ops("sidecar-plain", false);
+    assert!(
+        ops("sidecar-dumps", true) > plain + 1,
+        "the sidecar goes through the Io seam"
+    );
+
+    let mut o = opts("sidecar-kill", 1);
+    with_dumps(&mut o);
+    o.io = Arc::new(ChaosIo::new(
+        Arc::new(RealIo),
+        ChaosConfig {
+            kill_after_ops: Some(plain + 1),
+            ..ChaosConfig::quiet(0)
+        },
+    ));
+    let killed = complete(run_campaign(&spec, &o).expect("a sidecar failure never fails the run"));
+    let sidecar = hang_trace_path(&o.report_path, 0);
+    assert!(killed.hang_traces.is_empty());
+    assert!(
+        !sidecar.exists(),
+        "a torn sidecar never lands at its final path"
+    );
+
+    let mut o = opts("sidecar-kill", 1);
+    with_dumps(&mut o);
+    o.resume = true;
+    let resumed = complete(run_campaign(&spec, &o).expect("resume"));
+    assert_eq!(resumed.hang_traces, vec![sidecar.clone()]);
+    let text = std::fs::read_to_string(&sidecar).expect("sidecar on disk");
+    let parsed = Json::parse(text.trim_end()).expect("the resumed sidecar is complete JSON");
+    assert!(parsed
+        .get("traceEvents")
+        .and_then(Json::items)
+        .is_some_and(|events| !events.is_empty()));
 }

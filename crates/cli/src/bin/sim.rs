@@ -28,18 +28,7 @@ use redsim_core::{
     MetricsCollector, MetricsSink, NullMetrics, NullTracer, SimStats, Simulator, Tracer, VecSource,
     DEFAULT_METRICS_WINDOW, REUSE_CLASS_NAMES,
 };
-use redsim_workloads::{Params, Workload};
-
-fn mode_of(s: &str) -> Option<ExecMode> {
-    Some(match s {
-        "sie" => ExecMode::Sie,
-        "die" => ExecMode::Die,
-        "die-irb" => ExecMode::DieIrb,
-        "sie-irb" => ExecMode::SieIrb,
-        "die-cluster" => ExecMode::DieCluster,
-        _ => return None,
-    })
-}
+use redsim_workloads::{Params, Workload, DEFAULT_TRACE_BUDGET};
 
 fn build_config(args: &Args) -> Result<MachineConfig, String> {
     let mut cfg = MachineConfig::paper_baseline();
@@ -166,11 +155,11 @@ fn main() {
     }
     let mode = match args.value_of("--mode") {
         None => ExecMode::Sie,
-        Some(m) => mode_of(m).unwrap_or_else(|| die(&format!("unknown mode `{m}`"))),
+        Some(m) => ExecMode::from_name(m).unwrap_or_else(|| die(&format!("unknown mode `{m}`"))),
     };
     let cfg = build_config(&args).unwrap_or_else(|e| die(&e));
     let budget = args
-        .parsed_or("--budget", 200_000_000u64)
+        .parsed_or("--budget", DEFAULT_TRACE_BUDGET)
         .unwrap_or_else(|e| die(&e));
     let faults = FaultConfig {
         fu_rate: args
@@ -286,7 +275,7 @@ fn main() {
 fn compare(args: &Args) {
     let cfg = build_config(args).unwrap_or_else(|e| die(&e));
     let budget = args
-        .parsed_or("--budget", 200_000_000u64)
+        .parsed_or("--budget", DEFAULT_TRACE_BUDGET)
         .unwrap_or_else(|e| die(&e));
     let trace = if let Some(trace_path) = args.value_of("--trace") {
         let file =

@@ -109,15 +109,18 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// Parses the value of `key` or returns `default`.
+    /// Parses the value of `key` or returns `default` when `key` is
+    /// absent.
     ///
     /// # Errors
     ///
-    /// Returns a message if the value is present but unparseable.
+    /// Returns a message if `key` is present without a value or with
+    /// an unparseable one.
     pub fn parsed_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.value_of(key) {
+        match self.options.iter().find(|(k, _)| k == key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad value for {key}: `{v}`")),
+            Some((_, None)) => Err(format!("{key} expects a value")),
+            Some((_, Some(v))) => v.parse().map_err(|_| format!("bad value for {key}: `{v}`")),
         }
     }
 }
@@ -166,6 +169,19 @@ mod tests {
         assert_eq!(a.parsed_or("--m", 7u64).unwrap(), 7);
         let b = args(&["--n", "notanumber"]);
         assert!(b.parsed_or("--n", 0u64).is_err());
+    }
+
+    #[test]
+    fn parsed_or_rejects_a_key_without_a_value() {
+        // Regression: `redsim-sim prog.s --budget` ran with the default
+        // budget instead of reporting the missing value.
+        let trailing = args(&["prog.s", "--budget"]);
+        assert_eq!(
+            trailing.parsed_or("--budget", 7u64),
+            Err("--budget expects a value".to_owned())
+        );
+        let before_flag = args(&["--budget", "--stats"]);
+        assert!(before_flag.parsed_or("--budget", 7u64).is_err());
     }
 
     #[test]

@@ -41,6 +41,34 @@ impl ExecMode {
     pub fn has_irb(self) -> bool {
         matches!(self, ExecMode::DieIrb | ExecMode::SieIrb)
     }
+
+    /// Every mode, in declaration order.
+    pub const ALL: [ExecMode; 5] = [
+        ExecMode::Sie,
+        ExecMode::Die,
+        ExecMode::DieIrb,
+        ExecMode::SieIrb,
+        ExecMode::DieCluster,
+    ];
+
+    /// The command-line and wire spelling (`redsim-sim --mode`, serve
+    /// job specs). Serve fingerprints hash it, so it never changes.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecMode::Sie => "sie",
+            ExecMode::Die => "die",
+            ExecMode::DieIrb => "die-irb",
+            ExecMode::SieIrb => "sie-irb",
+            ExecMode::DieCluster => "die-cluster",
+        }
+    }
+
+    /// Parses the [`ExecMode::name`] spelling.
+    #[must_use]
+    pub fn from_name(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|m| m.name() == s)
+    }
 }
 
 /// Who wakes up the duplicate stream's waiting instructions (§3.3).
@@ -396,6 +424,14 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mode_names_round_trip() {
+        for mode in ExecMode::ALL {
+            assert_eq!(ExecMode::from_name(mode.name()), Some(mode));
+        }
+        assert_eq!(ExecMode::from_name("warp-speed"), None);
+    }
 
     #[test]
     fn paper_baseline_matches_section_4_table() {

@@ -149,13 +149,22 @@ pub fn attribution_to_json(a: &ReuseAttribution) -> Json {
 }
 
 /// Wall-clock throughput of one or more timing-simulation runs: how
-/// fast the *host* chews through simulated work (the perf-trajectory
-/// metric recorded in `BENCH_simulator.json`), as opposed to the
+/// fast the *host* chews through simulated work, as opposed to the
 /// simulated machine's own IPC.
+///
+/// Two clocks, never conflated: `wall_seconds` is elapsed host time
+/// (a worker pool's start to finish, trace builds included) and
+/// `job_seconds` sums each job's time inside the timing simulation —
+/// on `N` threads it can approach `N ×` the wall-clock. The rates are
+/// per job-second: simulator speed, independent of the thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Throughput {
-    /// Host seconds spent inside the timing simulation.
+    /// Elapsed host seconds. Zero in a single job's record: only the
+    /// pool that ran the jobs knows its wall-clock.
     pub wall_seconds: f64,
+    /// Host seconds spent inside the timing simulation, summed over
+    /// jobs.
+    pub job_seconds: f64,
     /// Simulated cycles advanced in that time.
     pub sim_cycles: u64,
     /// Architected instructions committed in that time.
@@ -163,30 +172,32 @@ pub struct Throughput {
 }
 
 impl Throughput {
-    /// Accumulates another run into this record.
+    /// Accumulates another record into this one; every field adds up
+    /// (the wall-clock of passes run one after another too).
     pub fn add(&mut self, other: &Throughput) {
         self.wall_seconds += other.wall_seconds;
+        self.job_seconds += other.job_seconds;
         self.sim_cycles += other.sim_cycles;
         self.committed_insts += other.committed_insts;
     }
 
-    /// Simulated cycles per host second.
+    /// Simulated cycles per job-second.
     #[must_use]
     pub fn cycles_per_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
+        if self.job_seconds <= 0.0 {
             0.0
         } else {
-            self.sim_cycles as f64 / self.wall_seconds
+            self.sim_cycles as f64 / self.job_seconds
         }
     }
 
-    /// Committed instructions per host second.
+    /// Committed instructions per job-second.
     #[must_use]
     pub fn insts_per_sec(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
+        if self.job_seconds <= 0.0 {
             0.0
         } else {
-            self.committed_insts as f64 / self.wall_seconds
+            self.committed_insts as f64 / self.job_seconds
         }
     }
 
@@ -196,6 +207,7 @@ impl Throughput {
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("wall_seconds", self.wall_seconds)
+            .field("job_seconds", self.job_seconds)
             .field("sim_cycles", self.sim_cycles)
             .field("committed_insts", self.committed_insts)
             .field("cycles_per_sec", self.cycles_per_sec())

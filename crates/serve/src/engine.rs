@@ -499,7 +499,7 @@ impl Engine {
                     .field("state", state)
                     .field("fp", spec.fingerprint_hex())
                     .field("workload", spec.workload.name())
-                    .field("mode", crate::spec::mode_name(spec.mode))
+                    .field("mode", spec.mode.name())
             })
             .collect()
     }

@@ -30,10 +30,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use redsim_cli::{die, usage, Args};
-use redsim_core::FaultConfig;
+use redsim_core::{ExecMode, FaultConfig};
 use redsim_serve::engine::{Engine, EngineOptions};
 use redsim_serve::net::{serve_tcp, Client};
-use redsim_serve::spec::{mode_from_name, JobSpec};
+use redsim_serve::spec::JobSpec;
 use redsim_util::io::{FsyncPolicy, RealIo};
 use redsim_util::Json;
 use redsim_workloads::Workload;
@@ -168,7 +168,7 @@ fn cmd_submit(args: &Args) {
     let workload = Workload::from_name(workload)
         .unwrap_or_else(|| die(&format!("unknown workload `{workload}`")));
     let mode = args.value_of("--mode").unwrap_or("sie");
-    let mode = mode_from_name(mode).unwrap_or_else(|| die(&format!("unknown mode `{mode}`")));
+    let mode = ExecMode::from_name(mode).unwrap_or_else(|| die(&format!("unknown mode `{mode}`")));
     let mut spec = JobSpec::new(workload, mode);
     spec.quick = !args.has("--full");
     if let Some(s) = args.value_of("--seed") {

@@ -16,33 +16,7 @@ use redsim_workloads::{Params, Workload};
 
 /// Instruction budget handed to the functional emulator when a trace
 /// is materialized — the same ceiling the bench harness uses.
-pub const DEFAULT_TRACE_BUDGET: u64 = 200_000_000;
-
-/// The wire spelling of an execution mode (matches `redsim-sim
-/// --mode`).
-#[must_use]
-pub fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Sie => "sie",
-        ExecMode::Die => "die",
-        ExecMode::DieIrb => "die-irb",
-        ExecMode::SieIrb => "sie-irb",
-        ExecMode::DieCluster => "die-cluster",
-    }
-}
-
-/// Parses the wire spelling of an execution mode.
-#[must_use]
-pub fn mode_from_name(s: &str) -> Option<ExecMode> {
-    Some(match s {
-        "sie" => ExecMode::Sie,
-        "die" => ExecMode::Die,
-        "die-irb" => ExecMode::DieIrb,
-        "sie-irb" => ExecMode::SieIrb,
-        "die-cluster" => ExecMode::DieCluster,
-        _ => return None,
-    })
-}
+pub const DEFAULT_TRACE_BUDGET: u64 = redsim_workloads::DEFAULT_TRACE_BUDGET;
 
 /// A complete, deterministic description of one simulation job.
 #[derive(Debug, Clone)]
@@ -104,7 +78,7 @@ impl JobSpec {
     pub fn canonical(&self) -> String {
         let mut j = Json::obj()
             .field("workload", self.workload.name())
-            .field("mode", mode_name(self.mode))
+            .field("mode", self.mode.name())
             .field("quick", self.quick);
         if let Some(seed) = self.input_seed {
             j = j.field("seed", seed);
@@ -180,7 +154,7 @@ impl JobSpec {
             .get("mode")
             .and_then(Json::as_str)
             .ok_or("spec is missing \"mode\"")?;
-        let mode = mode_from_name(mode).ok_or_else(|| format!("unknown mode {mode:?}"))?;
+        let mode = ExecMode::from_name(mode).ok_or_else(|| format!("unknown mode {mode:?}"))?;
         let quick = match j.get("quick") {
             None => true,
             Some(q) => q.as_bool().ok_or("\"quick\" must be a bool")?,
@@ -291,20 +265,6 @@ mod tests {
         let mut on = spec.clone();
         on.attribution = true;
         assert!(on.canonical().contains("\"attribution\":true"));
-    }
-
-    #[test]
-    fn mode_names_round_trip() {
-        for mode in [
-            ExecMode::Sie,
-            ExecMode::Die,
-            ExecMode::DieIrb,
-            ExecMode::SieIrb,
-            ExecMode::DieCluster,
-        ] {
-            assert_eq!(mode_from_name(mode_name(mode)), Some(mode));
-        }
-        assert_eq!(mode_from_name("warp-speed"), None);
     }
 
     #[test]

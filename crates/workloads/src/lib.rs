@@ -56,6 +56,12 @@ use redsim_isa::asm::assemble;
 use redsim_isa::trace::DynInst;
 use redsim_isa::{AsmError, Program};
 
+/// The functional-emulation budget, in instructions, of every trace
+/// build: the bench harness, the serve trace store and the command-line
+/// emulators all default to it. Serve's trace-store key includes the
+/// budget, so this is its only copy.
+pub const DEFAULT_TRACE_BUDGET: u64 = 200_000_000;
+
 /// A workload instance that failed to materialize. Either outcome is a
 /// bug in a kernel generator (the suite assembles and halts every
 /// kernel), but harnesses must surface it as a structured per-job error

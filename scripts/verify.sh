@@ -36,7 +36,7 @@ figure_smoke() {
         exit 1
     fi
     case "$one" in
-        '{"title":'*'"perf":{"wall_seconds":'*) ;;
+        '{"title":'*'"perf":{"wall_seconds":'*',"job_seconds":'*) ;;
         *) echo "FAIL: --json output shape is wrong: $one" >&2; exit 1 ;;
     esac
 }
