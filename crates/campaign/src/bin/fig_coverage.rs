@@ -43,7 +43,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use redsim_bench::{emit, pm, Cli, Table};
 use redsim_campaign::{
@@ -220,7 +220,10 @@ fn main() {
         opts.io = Arc::new(ChaosIo::new(Arc::new(RealIo), cfg));
     }
 
-    let report = match run_campaign(&spec, &opts) {
+    let started = Instant::now();
+    let outcome = run_campaign(&spec, &opts);
+    let wall_seconds = started.elapsed().as_secs_f64();
+    let report = match outcome {
         Ok(CampaignOutcome::Complete(r)) => r,
         Ok(CampaignOutcome::Interrupted { completed, total }) => {
             eprintln!(
@@ -240,15 +243,26 @@ fn main() {
         }
     };
 
-    // Campaign-wide stall accounting, folded back out of the manifest
-    // records (the shards ran inside `run_campaign`, not our harness).
+    // Campaign-wide stall and throughput accounting, folded back out of
+    // the manifest records (the shards ran inside `run_campaign`, not
+    // our harness). The records carry no host time — that keeps reports
+    // byte-identical — so `job_seconds` stays zero; `wall_seconds` is
+    // this invocation's elapsed time, while the counts include shards a
+    // resumed run found already recorded.
     let mut stalls = StallSummary::default();
+    let mut perf = Throughput {
+        wall_seconds,
+        ..Throughput::default()
+    };
     for line in &report.records {
         let j = Json::parse(line).expect("report records parse");
         if j.get("ok").and_then(Json::as_bool) != Some(true) {
             continue;
         }
-        stalls.cycles += j.get("cycles").and_then(Json::as_u64).unwrap_or(0);
+        let cycles = j.get("cycles").and_then(Json::as_u64).unwrap_or(0);
+        perf.sim_cycles += cycles;
+        perf.committed_insts += j.get("committed_insts").and_then(Json::as_u64).unwrap_or(0);
+        stalls.cycles += cycles;
         stalls.productive_cycles += j
             .get("active_commit_cycles")
             .and_then(Json::as_u64)
@@ -349,7 +363,7 @@ fn main() {
         &table,
         &stalls,
         &report.failed,
-        &Throughput::default(),
+        &perf,
     );
     if !report.quarantined.is_empty() {
         for q in &report.quarantined {

@@ -94,7 +94,7 @@ impl FrontEnd {
     /// outcome; the returned [`FetchOutcome`] tells the fetch engine how
     /// the front end would have steered.
     pub fn assess(&mut self, di: &DynInst) -> FetchOutcome {
-        let Some(ctrl) = di.control else {
+        let (Some(ctrl), Some(target)) = (di.control, di.target()) else {
             return FetchOutcome::Sequential;
         };
         let op = di.inst.op;
@@ -110,7 +110,7 @@ impl FrontEnd {
                 return FetchOutcome::Sequential;
             }
             return match self.btb.lookup(di.pc) {
-                Some(t) if t == ctrl.target => FetchOutcome::TakenPredicted,
+                Some(t) if t == target => FetchOutcome::TakenPredicted,
                 _ => {
                     // Direct branch: the right target is recoverable at
                     // decode from the instruction's immediate.
@@ -129,7 +129,7 @@ impl FrontEnd {
                 // Direct target, decodable; BTB hit avoids even the
                 // decode bubble.
                 match self.btb.lookup(di.pc) {
-                    Some(t) if t == ctrl.target => FetchOutcome::TakenPredicted,
+                    Some(t) if t == target => FetchOutcome::TakenPredicted,
                     _ => {
                         self.stats.btb_miss_bubbles += 1;
                         FetchOutcome::TakenBtbMiss
@@ -139,7 +139,7 @@ impl FrontEnd {
             Opcode::Jr | Opcode::Jalr => {
                 self.stats.indirect_jumps += 1;
                 if is_return(di) {
-                    if self.ras.pop() == Some(ctrl.target) {
+                    if self.ras.pop() == Some(target) {
                         self.stats.ras_correct += 1;
                         return FetchOutcome::TakenPredicted;
                     }
@@ -147,7 +147,7 @@ impl FrontEnd {
                     return FetchOutcome::Mispredict;
                 }
                 match self.btb.lookup(di.pc) {
-                    Some(t) if t == ctrl.target => FetchOutcome::TakenPredicted,
+                    Some(t) if t == target => FetchOutcome::TakenPredicted,
                     _ => {
                         self.stats.indirect_mispredicts += 1;
                         FetchOutcome::Mispredict
@@ -161,12 +161,14 @@ impl FrontEnd {
     /// Trains the predictors on a resolved control instruction. Called
     /// when the first copy of the instruction resolves in the back end.
     pub fn train(&mut self, di: &DynInst) {
-        let Some(ctrl) = di.control else { return };
+        let (Some(ctrl), Some(target)) = (di.control, di.target()) else {
+            return;
+        };
         if di.inst.op.is_branch() {
             self.dir.update(di.pc, ctrl.taken);
         }
         if ctrl.taken {
-            self.btb.update(di.pc, ctrl.target);
+            self.btb.update(di.pc, target);
         }
     }
 }
@@ -179,7 +181,6 @@ mod tests {
 
     fn branch_di(pc: u64, taken: bool, target: u64) -> DynInst {
         DynInst {
-            seq: 0,
             pc,
             inst: Inst::branch(
                 Opcode::Bne,
@@ -191,31 +192,32 @@ mod tests {
             src2: 0,
             result: None,
             ea: None,
-            control: Some(ControlOutcome { taken, target }),
-            next_pc: if taken { target } else { pc + 8 },
+            control: Some(ControlOutcome { taken }),
         }
     }
 
+    /// A taken jump to `target`: direct jumps encode it as a
+    /// pc-relative immediate, indirect ones carry it in `src1`.
     fn jump_di(op: Opcode, pc: u64, target: u64, rd: u8, rs1: u8) -> DynInst {
+        let indirect = matches!(op, Opcode::Jr | Opcode::Jalr);
         DynInst {
-            seq: 0,
             pc,
             inst: Inst {
                 op,
                 rd,
                 rs1,
                 rs2: 0,
-                imm: 0,
+                imm: if indirect {
+                    0
+                } else {
+                    (target as i64 - pc as i64) as i32
+                },
             },
-            src1: 0,
+            src1: if indirect { target } else { 0 },
             src2: 0,
             result: None,
             ea: None,
-            control: Some(ControlOutcome {
-                taken: true,
-                target,
-            }),
-            next_pc: target,
+            control: Some(ControlOutcome { taken: true }),
         }
     }
 
@@ -304,7 +306,6 @@ mod tests {
     fn non_control_is_sequential_and_untracked() {
         let mut f = fe();
         let di = DynInst {
-            seq: 0,
             pc: 0x1000,
             inst: Inst::NOP,
             src1: 0,
@@ -312,7 +313,6 @@ mod tests {
             result: None,
             ea: None,
             control: None,
-            next_pc: 0x1008,
         };
         assert_eq!(f.assess(&di), FetchOutcome::Sequential);
         assert_eq!(f.stats().cond_branches, 0);

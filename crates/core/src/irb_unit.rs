@@ -75,8 +75,7 @@ pub fn reuse_output(di: &DynInst) -> u64 {
     match di.class() {
         OpClass::Load | OpClass::Store => di.ea.expect("memory op has an ea"),
         OpClass::Branch | OpClass::Jump => {
-            let c = di.control.expect("control op has an outcome");
-            c.target | u64::from(c.taken) << 63
+            crate::ruu::control_bits(di).expect("control op has an outcome")
         }
         _ => di.result.expect("eligible ALU op has a result"),
     }
@@ -121,10 +120,8 @@ impl IrbUnit {
     /// lookup starts, so a backedge's lookup is charged to its own loop.
     pub fn note_fetched(&mut self, di: &DynInst) {
         if let Some(attr) = &mut self.attr {
-            if let Some(c) = di.control {
-                if c.taken && c.target < di.pc {
-                    attr.enter_loop(c.target);
-                }
+            if let Some(target) = di.target().filter(|&t| di.redirects() && t < di.pc) {
+                attr.enter_loop(target);
             }
         }
     }
@@ -259,7 +256,6 @@ mod tests {
 
     fn alu_di(pc: u64, a: u64, b: u64, r: u64) -> DynInst {
         DynInst {
-            seq: 0,
             pc,
             inst: Inst::rrr(Opcode::Add, IntReg::new(3), IntReg::new(1), IntReg::new(2)),
             src1: a,
@@ -267,7 +263,6 @@ mod tests {
             result: Some(r),
             ea: None,
             control: None,
-            next_pc: pc + 8,
         }
     }
 
@@ -361,7 +356,6 @@ mod tests {
         let mut u = unit();
         u.begin_cycle();
         let halt = DynInst {
-            seq: 0,
             pc: 0x1000,
             inst: Inst::halt(),
             src1: 0,
@@ -369,7 +363,6 @@ mod tests {
             result: None,
             ea: None,
             control: None,
-            next_pc: 0x1000,
         };
         let (s, _) = u.start_lookup(&halt, 0);
         assert_eq!(s, ReuseState::NotEligible);
@@ -379,7 +372,6 @@ mod tests {
     #[test]
     fn memory_ops_buffer_the_effective_address() {
         let load = DynInst {
-            seq: 0,
             pc: 0x2000,
             inst: Inst::load_int(Opcode::Ld, IntReg::new(4), IntReg::new(2), 16),
             src1: 0x8000,
@@ -387,7 +379,6 @@ mod tests {
             result: Some(99),
             ea: Some(0x8010),
             control: None,
-            next_pc: 0x2008,
         };
         assert!(reuse_eligible(&load));
         assert_eq!(reuse_output(&load), 0x8010, "address, not the loaded value");
@@ -396,18 +387,13 @@ mod tests {
     #[test]
     fn branches_buffer_the_encoded_outcome() {
         let br = DynInst {
-            seq: 0,
             pc: 0x3000,
             inst: Inst::branch(Opcode::Beq, IntReg::new(1), IntReg::new(2), -64),
             src1: 7,
             src2: 7,
             result: None,
             ea: None,
-            control: Some(ControlOutcome {
-                taken: true,
-                target: 0x2fc0,
-            }),
-            next_pc: 0x2fc0,
+            control: Some(ControlOutcome { taken: true }),
         };
         assert_eq!(reuse_output(&br), 0x2fc0 | 1 << 63);
     }
@@ -415,7 +401,6 @@ mod tests {
     #[test]
     fn operand_names_cover_fp_and_stores() {
         let st = DynInst {
-            seq: 0,
             pc: 0x1000,
             inst: Inst::store_int(Opcode::Sd, IntReg::new(7), IntReg::new(2), 0),
             src1: 0x8000,
@@ -423,7 +408,6 @@ mod tests {
             result: None,
             ea: Some(0x8000),
             control: None,
-            next_pc: 0x1008,
         };
         assert_eq!(operand_names(&st), [Some(2), Some(7)]);
     }

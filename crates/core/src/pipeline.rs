@@ -22,7 +22,7 @@ use crate::irb_unit::{reuse_output, IrbUnit};
 use crate::metrics::{
     HostPhase, HostProfiler, MetricsSink, NullMetrics, WindowCounters, WindowSample,
 };
-use crate::ruu::{EntryState, ReuseState, ReuseTag, Ruu, Stream};
+use crate::ruu::{control_bits, EntryState, ReuseState, ReuseTag, Ruu, Stream};
 use crate::sched::{Calendar, ReadySet};
 use crate::source::{EmulatorSource, InstructionSource};
 use crate::stats::{BranchSummary, IrbSummary, SimStats};
@@ -344,6 +344,10 @@ struct Machine<'a> {
     /// through the fetch queue per instruction.
     ifq_reuse: VecDeque<ReuseState>,
     lookahead: Option<DynInst>,
+    /// Trace seq the next fetched record receives (records carry no
+    /// sequence number of their own; past fetch, `Machine::trace_seq`
+    /// recovers it from the RUU seq).
+    next_fetch_seq: u64,
     source_done: bool,
     rename_int: [[Option<u64>; 32]; 2],
     rename_fp: [[Option<u64>; 32]; 2],
@@ -470,6 +474,7 @@ impl<'a> Machine<'a> {
             ifq: VecDeque::with_capacity(cfg.fetch_queue),
             ifq_reuse: VecDeque::with_capacity(cfg.fetch_queue),
             lookahead: None,
+            next_fetch_seq: 0,
             source_done: false,
             rename_int: [[None; 32]; 2],
             rename_fp: [[None; 32]; 2],
@@ -567,6 +572,18 @@ impl<'a> Machine<'a> {
     fn schedule_completion(&mut self, at: u64, seq: u64) {
         if self.event_driven {
             self.calendar.schedule(at, self.cycle, seq);
+        }
+    }
+
+    /// Trace seq of the RUU entry `seq`. Dispatch pushes every record
+    /// once (twice, primary then duplicate, in the dual modes) in trace
+    /// order and commit retires in the same order, so the RUU seq is the
+    /// trace seq (doubled, plus one for the duplicate).
+    fn trace_seq(&self, seq: u64) -> u64 {
+        if self.is_dual() {
+            seq >> 1
+        } else {
+            seq
         }
     }
 
@@ -797,8 +814,7 @@ impl<'a> Machine<'a> {
             let is_mem = self.ruu.is_mem(head);
             let ea = if is_mem { self.ruu.di(head).ea } else { None };
             let (di_seq, di_pc) = if self.trace_on {
-                let d = self.ruu.di(head);
-                (d.seq, d.pc)
+                (self.trace_seq(head), self.ruu.di(head).pc)
             } else {
                 // `trace` drops the event without reading these.
                 (0, 0)
@@ -974,10 +990,7 @@ impl<'a> Machine<'a> {
         self.rewound_this_cycle = true;
         self.inj.stats_mut().detected += 1;
         if self.trace_on {
-            let (di_seq, di_pc) = {
-                let d = self.ruu.di(head);
-                (d.seq, d.pc)
-            };
+            let (di_seq, di_pc) = (self.trace_seq(head), self.ruu.di(head).pc);
             self.trace(TraceEventKind::Rewind, di_seq, di_pc, 2, 0);
         }
         // Recovery cost attributed to the faults being detected: the
@@ -1050,10 +1063,7 @@ impl<'a> Machine<'a> {
             self.ruu.set_complete_at(seq, self.cycle);
         }
         if self.trace_on {
-            let (di_seq, di_pc) = {
-                let d = self.ruu.di(seq);
-                (d.seq, d.pc)
-            };
+            let (di_seq, di_pc) = (self.trace_seq(seq), self.ruu.di(seq).pc);
             self.trace(
                 TraceEventKind::Writeback,
                 di_seq,
@@ -1092,7 +1102,7 @@ impl<'a> Machine<'a> {
         if !self.ruu.is_control(seq) || self.ruu.resolution_reported(seq) {
             return;
         }
-        let di_seq = self.ruu.di(seq).seq;
+        let di_seq = self.trace_seq(seq);
         let stream = self.ruu.stream(seq);
         // Train through the borrow — `frontend` and `ruu` are disjoint
         // fields, so no `DynInst` copy is needed.
@@ -1341,15 +1351,10 @@ impl<'a> Machine<'a> {
         // becomes this copy's output.
         self.stats.fu_bypasses += 1;
         let produced = hit.result;
-        let (clean, out, di_seq, di_pc, ea) = {
+        let di_seq = self.trace_seq(seq);
+        let (clean, out, di_pc, ea) = {
             let di = self.ruu.di(seq);
-            (
-                reuse_output(di),
-                finalize_out(di, produced),
-                di.seq,
-                di.pc,
-                di.ea,
-            )
+            (reuse_output(di), finalize_out(di, produced), di.pc, di.ea)
         };
         let stream = self.ruu.stream(seq);
         self.trace(TraceEventKind::Issue, di_seq, di_pc, stream_code(stream), 0);
@@ -1427,9 +1432,10 @@ impl<'a> Machine<'a> {
             if passed {
                 self.stats.fu_bypasses += 1;
                 let produced = hit.result;
-                let (clean, out, di_seq, di_pc) = {
+                let di_seq = self.trace_seq(seq);
+                let (clean, out, di_pc) = {
                     let di = self.ruu.di(seq);
-                    (reuse_output(di), finalize_out(di, produced), di.seq, di.pc)
+                    (reuse_output(di), finalize_out(di, produced), di.pc)
                 };
                 self.ruu.set_reuse(seq, ReuseState::Passed);
                 self.ruu.set_out_bits(seq, Some(out));
@@ -1492,10 +1498,7 @@ impl<'a> Machine<'a> {
         }
         self.schedule_completion(complete_at, seq);
         if self.trace_on {
-            let (di_seq, di_pc) = {
-                let d = self.ruu.di(seq);
-                (d.seq, d.pc)
-            };
+            let (di_seq, di_pc) = (self.trace_seq(seq), self.ruu.di(seq).pc);
             let stream = u8::from(is_dup);
             self.trace(TraceEventKind::Issue, di_seq, di_pc, stream, 1);
             let dur = complete_at.saturating_sub(self.cycle).max(1);
@@ -1542,6 +1545,7 @@ impl<'a> Machine<'a> {
         // Primary copy. Producers are strictly older than the entry
         // being linked, so pushing before linking cannot self-link.
         let pseq = self.ruu.push(di, Stream::Primary);
+        let di_seq = self.trace_seq(pseq);
         if self.mode == ExecMode::SieIrb {
             self.ruu.set_reuse(pseq, reuse);
             self.ruu.set_lookup_done_at(pseq, fetched.lookup_done_at);
@@ -1553,7 +1557,7 @@ impl<'a> Machine<'a> {
             self.ruu.set_state(pseq, EntryState::Ready);
             self.ruu.set_ready_at(pseq, self.cycle);
         }
-        self.trace(TraceEventKind::Dispatch, di.seq, di.pc, 0, 0);
+        self.trace(TraceEventKind::Dispatch, di_seq, di.pc, 0, 0);
         if primary_ready {
             self.push_ready(pseq, Stream::Primary);
         }
@@ -1573,7 +1577,7 @@ impl<'a> Machine<'a> {
                 self.ruu.set_state(dseq, EntryState::Ready);
                 self.ruu.set_ready_at(dseq, self.cycle);
             }
-            self.trace(TraceEventKind::Dispatch, di.seq, di.pc, 1, 0);
+            self.trace(TraceEventKind::Dispatch, di_seq, di.pc, 1, 0);
             if dup_ready {
                 self.push_ready(dseq, Stream::Dup);
             }
@@ -1710,6 +1714,8 @@ impl<'a> Machine<'a> {
 
             // Consume the instruction.
             self.lookahead = None;
+            let seq = self.next_fetch_seq;
+            self.next_fetch_seq += 1;
             // Keep the attribution loop tracker current for *every*
             // fetched instruction (a backedge may be reuse-filtered but
             // still opens a loop), before the instruction's own lookup
@@ -1737,17 +1743,17 @@ impl<'a> Machine<'a> {
             }
             fetched += 1;
             if self.trace_on {
-                self.trace(TraceEventKind::Fetch, di.seq, di.pc, 0, 0);
+                self.trace(TraceEventKind::Fetch, seq, di.pc, 0, 0);
                 match reuse {
                     ReuseState::Hit(_) => {
-                        self.trace(TraceEventKind::IrbLookup, di.seq, di.pc, 0, 0);
-                        self.trace(TraceEventKind::IrbHit, di.seq, di.pc, 0, 0);
+                        self.trace(TraceEventKind::IrbLookup, seq, di.pc, 0, 0);
+                        self.trace(TraceEventKind::IrbHit, seq, di.pc, 0, 0);
                     }
                     ReuseState::PcMiss => {
-                        self.trace(TraceEventKind::IrbLookup, di.seq, di.pc, 0, 0);
+                        self.trace(TraceEventKind::IrbLookup, seq, di.pc, 0, 0);
                     }
                     ReuseState::PortStarved => {
-                        self.trace(TraceEventKind::IrbPortDenied, di.seq, di.pc, 0, 0);
+                        self.trace(TraceEventKind::IrbPortDenied, seq, di.pc, 0, 0);
                     }
                     _ => {}
                 }
@@ -1777,15 +1783,14 @@ impl<'a> Machine<'a> {
                     break;
                 }
                 FetchOutcome::Mispredict => {
-                    self.front_state = FrontState::WaitBranch(di.seq);
+                    self.front_state = FrontState::WaitBranch(seq);
                     if self.cfg.wrong_path_fetch {
                         // The path the front end *would* have followed:
                         // the wrong side of the branch.
-                        let ctrl = di.control.expect("mispredicts are control insts");
-                        self.wrong_path_pc = Some(if ctrl.taken {
+                        self.wrong_path_pc = Some(if di.redirects() {
                             di.fallthrough_pc()
                         } else {
-                            ctrl.target
+                            di.target().expect("mispredicts are control insts")
                         });
                     }
                     break;
@@ -1868,7 +1873,7 @@ fn stream_code(s: Stream) -> u8 {
 fn produced_bits(di: &DynInst) -> Option<u64> {
     match di.class() {
         OpClass::Load | OpClass::Store => di.ea,
-        OpClass::Branch | OpClass::Jump => di.control.map(|c| c.target | u64::from(c.taken) << 63),
+        OpClass::Branch | OpClass::Jump => control_bits(di),
         OpClass::Sys => None,
         _ => di.result,
     }

@@ -146,10 +146,17 @@ pub fn checked_bits(di: &DynInst) -> Option<u64> {
         // Fold address and store data into one comparator word.
         return di.ea.map(|ea| ea ^ di.src2.rotate_left(32));
     }
-    if let Some(c) = di.control {
-        return Some(c.target | u64::from(c.taken) << 63);
-    }
-    di.result
+    control_bits(di).or(di.result)
+}
+
+/// The comparator word of a control instruction — its target with the
+/// taken bit in bit 63 — or `None` for a record without a control
+/// outcome.
+#[inline]
+#[must_use]
+pub(crate) fn control_bits(di: &DynInst) -> Option<u64> {
+    let target = di.target()?;
+    Some(target | u64::from(di.redirects()) << 63)
 }
 
 /// The RUU: a bounded FIFO addressed by absolute sequence number
@@ -229,7 +236,6 @@ impl Ruu {
             mask: cap as u64 - 1,
             di: vec![
                 DynInst {
-                    seq: 0,
                     pc: 0,
                     inst: redsim_isa::Inst::NOP,
                     src1: 0,
@@ -237,7 +243,6 @@ impl Ruu {
                     result: None,
                     ea: None,
                     control: None,
-                    next_pc: 0,
                 };
                 cap
             ],
@@ -839,7 +844,6 @@ mod tests {
 
     fn di(seq: u64) -> DynInst {
         DynInst {
-            seq,
             pc: 0x1000 + seq * 8,
             inst: Inst::NOP,
             src1: 0,
@@ -847,7 +851,6 @@ mod tests {
             result: None,
             ea: None,
             control: None,
-            next_pc: 0x1008 + seq * 8,
         }
     }
 
@@ -885,7 +888,7 @@ mod tests {
         r.set_state(s0, EntryState::Done);
         r.pop();
         assert!(!r.contains(s0), "committed entries are gone");
-        assert_eq!(r.di(s1).seq, 1);
+        assert_eq!(r.di(s1).pc, 0x1008);
         let s2 = r.push(di(2), Stream::Primary);
         assert_eq!(s2, 2);
         assert_eq!(r.head_seq(), 1);
@@ -915,10 +918,8 @@ mod tests {
         use redsim_isa::{IntReg, Opcode};
         let mut d = di(0);
         assert_eq!(checked_bits(&d), None, "nop checks nothing");
-        d.control = Some(ControlOutcome {
-            taken: true,
-            target: 0x2000,
-        });
+        d.inst = Inst::j(0x1000);
+        d.control = Some(ControlOutcome { taken: true });
         assert_eq!(checked_bits(&d), Some(0x2000 | 1 << 63));
         d.control = None;
         d.result = Some(42);
@@ -926,10 +927,8 @@ mod tests {
 
         // Control outcome takes precedence over a link-register result
         // (jal is checked on its encoded outcome, like the pipeline).
-        d.control = Some(ControlOutcome {
-            taken: true,
-            target: 0x40,
-        });
+        d.inst = Inst::jal(IntReg::RA, 0x40 - 0x1000);
+        d.control = Some(ControlOutcome { taken: true });
         assert_eq!(checked_bits(&d), Some(0x40 | 1 << 63));
 
         // A load is checked on its redundantly computed address, not on
@@ -1100,7 +1099,6 @@ mod generative {
 
     fn di(seq: u64) -> DynInst {
         DynInst {
-            seq,
             pc: 0x1000 + seq * 8,
             inst: Inst::NOP,
             src1: 0,
@@ -1108,7 +1106,6 @@ mod generative {
             result: None,
             ea: None,
             control: None,
-            next_pc: 0x1008 + seq * 8,
         }
     }
 
@@ -1130,7 +1127,7 @@ mod generative {
                     assert_eq!(seq, pushed);
                     pushed += 1;
                 } else if !push && !r.is_empty() {
-                    assert_eq!(r.di(popped).seq, popped);
+                    assert_eq!(r.di(popped).pc, 0x1000 + popped * 8);
                     r.pop();
                     popped += 1;
                 }

@@ -176,8 +176,10 @@ mod tests {
         let p = assemble("main: li a0, 1\n li a1, 2\n halt\n").unwrap();
         let mut s = EmulatorSource::new(&p, 100);
         let mut n = 0;
+        let mut pc = p.entry();
         while let Some(d) = s.next_inst().unwrap() {
-            assert_eq!(d.seq, n);
+            assert_eq!(d.pc, pc, "records arrive in commit order");
+            pc = d.next_pc();
             n += 1;
         }
         assert_eq!(n, 3);

@@ -150,8 +150,8 @@ impl Emulator {
         }
         let pc = self.pc;
         let inst = *self.program.fetch(pc).ok_or(EmuError::PcOutOfText { pc })?;
-        let rec = self.exec(pc, inst)?;
-        self.pc = rec.next_pc;
+        let (rec, next_pc) = self.exec(pc, inst)?;
+        self.pc = next_pc;
         self.seq += 1;
         Ok(Some(rec))
     }
@@ -197,12 +197,16 @@ impl Emulator {
         Ok(out)
     }
 
+    /// Executes `inst` at `pc`, returning its record and the address of
+    /// the next instruction. The emulator computes the next PC itself;
+    /// the record derives the same value ([`DynInst::next_pc`]), which
+    /// the trace tests hold to this computation.
     #[allow(clippy::too_many_lines)]
-    fn exec(&mut self, pc: u64, inst: Inst) -> Result<DynInst, EmuError> {
+    fn exec(&mut self, pc: u64, inst: Inst) -> Result<(DynInst, u64), EmuError> {
         use Opcode::*;
         let fall = pc + INST_BYTES;
+        let mut next_pc = fall;
         let mut rec = DynInst {
-            seq: self.seq,
             pc,
             inst,
             src1: 0,
@@ -210,7 +214,6 @@ impl Emulator {
             result: None,
             ea: None,
             control: None,
-            next_pc: fall,
         };
 
         // Integer register–register ALU.
@@ -475,53 +478,36 @@ impl Emulator {
                     Bgeu => a >= b,
                     _ => unreachable!(),
                 };
-                let target = pc.wrapping_add(inst.imm as i64 as u64);
-                rec.control = Some(ControlOutcome { taken, target });
+                rec.control = Some(ControlOutcome { taken });
                 if taken {
-                    rec.next_pc = target;
+                    next_pc = pc.wrapping_add(inst.imm as i64 as u64);
                 }
             }
             J => {
-                let target = pc.wrapping_add(inst.imm as i64 as u64);
-                rec.control = Some(ControlOutcome {
-                    taken: true,
-                    target,
-                });
-                rec.next_pc = target;
+                rec.control = Some(ControlOutcome { taken: true });
+                next_pc = pc.wrapping_add(inst.imm as i64 as u64);
             }
             Jal => {
-                let target = pc.wrapping_add(inst.imm as i64 as u64);
-                rec.control = Some(ControlOutcome {
-                    taken: true,
-                    target,
-                });
-                rec.next_pc = target;
+                rec.control = Some(ControlOutcome { taken: true });
+                next_pc = pc.wrapping_add(inst.imm as i64 as u64);
                 self.set_int(&mut rec, fall);
             }
             Jr => {
                 let base = self.read_i(inst.rs1);
                 rec.src1 = base;
-                let target = base.wrapping_add(inst.imm as i64 as u64);
-                rec.control = Some(ControlOutcome {
-                    taken: true,
-                    target,
-                });
-                rec.next_pc = target;
+                rec.control = Some(ControlOutcome { taken: true });
+                next_pc = base.wrapping_add(inst.imm as i64 as u64);
             }
             Jalr => {
                 let base = self.read_i(inst.rs1);
                 rec.src1 = base;
-                let target = base.wrapping_add(inst.imm as i64 as u64);
-                rec.control = Some(ControlOutcome {
-                    taken: true,
-                    target,
-                });
-                rec.next_pc = target;
+                rec.control = Some(ControlOutcome { taken: true });
+                next_pc = base.wrapping_add(inst.imm as i64 as u64);
                 self.set_int(&mut rec, fall);
             }
             Halt => {
                 self.halted = true;
-                rec.next_pc = pc;
+                next_pc = pc;
             }
             Nop => {}
             Puti => {
@@ -540,7 +526,7 @@ impl Emulator {
                 self.output.push(OutputEvent::Float(f64::from_bits(v)));
             }
         }
-        Ok(rec)
+        Ok((rec, next_pc))
     }
 
     fn set_int(&mut self, rec: &mut DynInst, v: u64) {

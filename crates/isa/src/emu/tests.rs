@@ -292,8 +292,7 @@ fn trace_records_operand_values() {
     assert_eq!(add.src1, 3);
     assert_eq!(add.src2, 4);
     assert_eq!(add.result, Some(7));
-    assert_eq!(add.seq, 2);
-    assert_eq!(add.next_pc, add.pc + 8);
+    assert_eq!(add.next_pc(), add.pc + 8);
 }
 
 #[test]
@@ -316,9 +315,10 @@ fn trace_records_branch_outcomes() {
     assert!(!not_taken.taken);
     let taken = trace[2].control.unwrap();
     assert!(taken.taken);
-    assert_eq!(trace[2].next_pc, taken.target);
-    // both record the same static target
-    assert_eq!(not_taken.target, taken.target);
+    assert_eq!(Some(trace[2].next_pc()), trace[2].target());
+    assert_eq!(trace[1].next_pc(), trace[1].fallthrough_pc());
+    // both derive the same static target
+    assert_eq!(trace[1].target(), trace[2].target());
 }
 
 #[test]

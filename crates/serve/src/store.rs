@@ -283,4 +283,37 @@ mod tests {
             "the rebuilt entry is byte-identical (deterministic emulation)"
         );
     }
+
+    #[test]
+    fn hostile_and_inconsistent_entries_are_misses_that_get_rebuilt() {
+        let root = store_dir("hostile");
+        let dir = root.join("traces");
+        let spec = JobSpec::new(Workload::Gzip, ExecMode::Sie);
+        let io: Arc<dyn Io> = Arc::new(RealIo);
+        let store = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("open");
+        let path = store.path_for(TraceStore::trace_key(&spec, 2_000_000));
+        let (_, origin) = store.get(&spec, 2_000_000).expect("build");
+        assert_eq!(origin, TraceOrigin::Built);
+        let good = std::fs::read(&path).expect("entry persisted");
+
+        // A header claiming 2^40 or 2^64 - 1 records, and a record whose
+        // stored next PC disagrees with the one it derives.
+        let mut inconsistent = good.clone();
+        inconsistent[14 + 65] ^= 0x10;
+        let mut entries = Vec::new();
+        for count in [1u64 << 40, u64::MAX] {
+            let mut bytes = b"RTRC\x01\x00".to_vec();
+            bytes.extend_from_slice(&count.to_le_bytes());
+            entries.push(bytes);
+        }
+        entries.push(inconsistent);
+        for bytes in entries {
+            std::fs::write(&path, &bytes).expect("plant entry");
+            let fresh = TraceStore::open(Arc::clone(&io), dir.clone(), false).expect("reopen");
+            let (_, origin) = fresh.get(&spec, 2_000_000).expect("rebuild");
+            assert_eq!(origin, TraceOrigin::Built);
+            assert_eq!(std::fs::read(&path).expect("entry repaired"), good);
+        }
+        let _ = std::fs::remove_dir_all(root);
+    }
 }

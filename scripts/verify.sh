@@ -8,7 +8,8 @@
 #   scripts/verify.sh bench-smoke   # only the bench + determinism smoke
 #                                   # (assumes a release build exists)
 #   scripts/verify.sh perfbench     # only the benchmark package build,
-#                                   # unit tests and serve correctness run
+#                                   # unit tests and the serve and traced
+#                                   # sweep correctness runs
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +40,20 @@ figure_smoke() {
         '{"title":'*'"perf":{"wall_seconds":'*',"job_seconds":'*) ;;
         *) echo "FAIL: --json output shape is wrong: $one" >&2; exit 1 ;;
     esac
+
+    # fig_coverage runs its sweep as a campaign; its perf block must
+    # carry the campaign's measured wall-clock, not a zero placeholder.
+    echo "==> fig_coverage --quick --json perf block"
+    local dir=target/figure-smoke
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    local cov wall
+    cov=$(target/release/fig_coverage --quick --json --threads 2 --out "$dir/coverage")
+    wall=$(sed -nE 's/.*"perf":\{"wall_seconds":([^,]*),"job_seconds":.*/\1/p' <<<"$cov")
+    if [ -z "$wall" ] || ! awk -v w="$wall" 'BEGIN { exit !(w > 0) }'; then
+        echo "FAIL: fig_coverage perf.wall_seconds must be positive: $cov" >&2
+        exit 1
+    fi
 }
 
 bench_smoke() {
@@ -103,6 +118,13 @@ perfbench_check() {
     # any check fails.
     run cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
         --workload serve --seed 1 --seconds 1 --trace 0
+    # The traced sweep is the only gate that asserts, over the 12
+    # default traces, that rebuilt traces equal the cached ones, the
+    # .rtrc round trip is lossless, single-thread replay equals the
+    # grid, and the scan scheduler equals the event-driven one (~60 s
+    # on a 2-core host).
+    run cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload sweep --seed 1 --seconds 1 --trace 1
 }
 
 metrics_smoke() {

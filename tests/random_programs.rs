@@ -248,3 +248,40 @@ fn encoded_program_text_round_trips() {
         assert_eq!(back.as_slice(), program.text(), "case {case}");
     }
 }
+
+#[test]
+fn derived_fields_match_the_emulator_on_any_program() {
+    let mut rng = Rng::new(0x9E0_0007);
+    for case in 0..CASES {
+        let steps = gen_steps(&mut rng, 1, 120);
+        let program = lower(&steps);
+        let mut emu = Emulator::new(&program);
+        while let Some(d) = emu.step().expect("runs") {
+            assert_eq!(d.next_pc(), emu.pc(), "case {case} pc {:#x}", d.pc);
+            assert_eq!(d.target().is_some(), d.control.is_some(), "case {case}");
+            if d.redirects() {
+                assert_eq!(d.target(), Some(emu.pc()), "case {case} pc {:#x}", d.pc);
+            }
+        }
+    }
+}
+
+/// fx64 of the `.rtrc` encodings of the [`CASES`] traces the
+/// `0x9E0_0007` stream generates, concatenated in case order.
+const PINNED_RTRC_FX64: u64 = 0x6ce2b8d066e3999e;
+
+#[test]
+fn trace_encoding_is_pinned_for_random_programs() {
+    use redsim::isa::trace_io::write_trace;
+    let mut rng = Rng::new(0x9E0_0007);
+    let mut bytes = Vec::new();
+    for _ in 0..CASES {
+        let steps = gen_steps(&mut rng, 1, 120);
+        let program = lower(&steps);
+        let trace = Emulator::new(&program)
+            .run_trace(program.text().len() as u64 + 1)
+            .expect("terminates");
+        write_trace(&mut bytes, &trace).expect("writes");
+    }
+    assert_eq!(redsim_util::hash::fx64(&bytes), PINNED_RTRC_FX64);
+}
